@@ -110,6 +110,9 @@ def load_wav(path) -> Waveform:
         cid = raw[pos:pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
         body = raw[pos + 8:pos + 8 + size]
+        if len(body) < size:
+            raise AudioError(f"{path}: truncated {cid.decode('latin-1')!r} chunk,"
+                             f" {size} bytes declared but {len(body)} present")
         if cid == b"fmt ":
             fmt = body
         elif cid == b"data":
@@ -125,11 +128,15 @@ def load_wav(path) -> Waveform:
     if rate != PIPELINE_RATE:
         raise AudioError(f"{path}: unsupported sample rate {rate}")
     if audio_format == 1 and bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+        dtype, scale = "<i2", 32768.0
     elif audio_format == 3 and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        dtype, scale = "<f4", 1.0
     else:
         raise AudioError(f"{path}: unsupported encoding (format {audio_format}, {bits}-bit)")
+    if len(data) % (bits // 8):
+        raise AudioError(f"{path}: data chunk of {len(data)} bytes is not a whole"
+                         f" number of {bits}-bit samples")
+    samples = np.frombuffer(data, dtype=dtype).astype(np.float64) / scale
     return Waveform(samples, rate)
 
 

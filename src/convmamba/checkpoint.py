@@ -113,4 +113,6 @@ def load_checkpoint(path, dtype=None) -> tuple[NetworkWeights, ModelConfig]:
                 f"{path}: parameter {name} with shape {tuple(shape)} does not match"
                 f" config expectation {want_name} {tuple(want_shape)}")
         arrays[name] = data.astype(np.float64)
+    if r.pos != len(r.raw):
+        raise CheckpointError(f"{path}: {len(r.raw) - r.pos} trailing bytes")
     return from_arrays(cfg, arrays, dtype=dtype), cfg

@@ -16,11 +16,15 @@ prefix scan over the associative operator
 and, for time-invariant parameters, the equivalent causal convolution with
 the kernel (<c, b_bar>, <c, a_bar*b_bar>, <c, a_bar^2*b_bar>, ...).
 Sequential and parallel forms agree to roundoff on every input.
+
+The scan runs over cache-sized chunks of CHUNK frames; the state carried into
+a chunk is folded into its first drive term, s[0] += a_bar[0]*h, so either
+evaluator runs on a chunk as is. A taped scan keeps its inputs and the state
+entering each chunk, from which its adjoint recomputes the chunk in reverse.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +34,7 @@ from .tensor import Tensor, _accum
 
 TAYLOR_THRESHOLD = 1e-4
 PARALLEL_MIN_LEN = 32
+CHUNK = 64
 
 
 @dataclass
@@ -45,10 +50,6 @@ class SsmParams:
     x_proj_weight: Tensor    # (d_inner, dt_rank + 2*n_state)
     dt_proj_weight: Tensor   # (dt_rank, d_inner)
     dt_proj_bias: Tensor     # (d_inner,)
-
-    @property
-    def d_inner(self) -> int:
-        return self.a_log.data.shape[0]
 
     @property
     def n_state(self) -> int:
@@ -105,47 +106,36 @@ def init_ssm_params(d_inner: int, n_state: int, dt_rank: int,
 # zero-order hold
 # ---------------------------------------------------------------------------
 
-def _phi_pair_into(x, ph, dph, scratch) -> None:
-    """(exp(x) - 1)/x and its derivative written into ph/dph.
+def _zoh(x, a_bar=None, phi=None, dphi=None):
+    """Return a_bar = exp(x) and phi = (exp(x) - 1)/x, filling the arrays given;
+    with dphi given, also write phi'(x) = (exp(x) - phi)/x into it.
 
-    Direct formulas are evaluated with out= kernels (expm1 keeps the ratio
-    accurate down to the switchover), then entries with |x| below 1e-4 are
-    patched from a three-term Taylor series, which agrees with the exact
-    ratio to well below 1e-12 there.
+    expm1 keeps phi accurate down to |x| = TAYLOR_THRESHOLD; below it both come
+    from three-term Taylor series, well within 1e-12 of the exact ratios there.
     """
+    a_bar = np.empty_like(x) if a_bar is None else a_bar
+    phi = np.empty_like(x) if phi is None else phi
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.expm1(x, out=scratch)               # e^x - 1
-        np.divide(scratch, x, out=ph)
-        np.add(scratch, 1.0, out=scratch)      # e^x
-        np.subtract(x, 1.0, out=dph)
-        np.multiply(dph, scratch, out=dph)
-        dph += 1.0
-        dph /= x
-        dph /= x
-    np.abs(x, out=scratch)
-    small = scratch < TAYLOR_THRESHOLD
-    if small.any():
+        np.expm1(x, out=phi)
+        np.add(phi, 1.0, out=a_bar)
+        phi /= x
+        if dphi is not None:
+            np.subtract(a_bar, phi, out=dphi)
+            dphi /= x
+    # two reductions rule out the mask pass when no entry lies near zero
+    if x.max() > -TAYLOR_THRESHOLD and x.min() < TAYLOR_THRESHOLD:
+        small = np.abs(x) < TAYLOR_THRESHOLD
         xs = x[small]
         x2 = xs * xs
         x3 = x2 * xs
-        ph[small] = 1.0 + 0.5 * xs + x2 * (1.0 / 6.0) + x3 * (1.0 / 24.0)
-        dph[small] = 0.5 + xs * (1.0 / 3.0) + x2 * 0.125 + x3 * (1.0 / 30.0)
-
-
-def _phi_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.result_type(x, np.float32))
-    ph = np.empty_like(x)
-    dph = np.empty_like(x)
-    _phi_pair_into(x, ph, dph, np.empty_like(x))
-    return ph, dph
+        phi[small] = 1.0 + 0.5 * xs + x2 * (1.0 / 6.0) + x3 * (1.0 / 24.0)
+        if dphi is not None:
+            dphi[small] = 0.5 + xs * (1.0 / 3.0) + x2 * 0.125 + x3 * (1.0 / 30.0)
+    return a_bar, phi
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
-    return _phi_pair(x)[0]
-
-
-def _phi_prime(x: np.ndarray) -> np.ndarray:
-    return _phi_pair(x)[1]
+    return _zoh(np.asarray(x, dtype=np.result_type(x, np.float32)))[1]
 
 
 def discretize_zoh(a, b, delta):
@@ -158,8 +148,8 @@ def discretize_zoh(a, b, delta):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
-    x = delta * a
-    return np.exp(x), _phi(x) * delta * b
+    a_bar, phi = _zoh(np.asarray(delta * a))
+    return a_bar, phi * delta * b
 
 
 # ---------------------------------------------------------------------------
@@ -235,23 +225,17 @@ def _states_parallel(a_bar: np.ndarray, s: np.ndarray,
     return h
 
 
-_WORKSPACE = threading.local()
+def _chunk_states(states_fn, h0, delta, b, du, a_t, x, a_bar, phi, s, dphi=None):
+    """States (n, N, D) of one chunk entered with state h0, written over x.
 
-_SLOT_X, _SLOT_ABAR, _SLOT_PH, _SLOT_DPH, _SLOT_BBAR, _SLOT_S, _SLOT_H = range(7)
-
-
-def _scan_workspace(shape: tuple, dtype, recording: bool) -> np.ndarray:
-    """Seven (L, D, N) slots in one contiguous block. Without an active tape
-    nothing outlives the call, so a thread-local block is reused; with a tape
-    the block must persist for the backward pass and is freshly allocated."""
-    full = (7,) + shape
-    if recording:
-        return np.empty(full, dtype=dtype)
-    cached = getattr(_WORKSPACE, "block", None)
-    if cached is None or cached.shape != full or cached.dtype != dtype:
-        cached = np.empty(full, dtype=dtype)
-        _WORKSPACE.block = cached
-    return cached
+    Also fills a_bar, phi and dphi for the chunk; phi and s may share a buffer.
+    """
+    np.multiply(delta[:, None, :], a_t, out=x)
+    _zoh(x, a_bar, phi, dphi)
+    np.multiply(phi, du[:, None, :], out=s)       # phi*delta*u
+    s *= b[:, :, None]                             # b_bar*u
+    s[0] += a_bar[0] * h0
+    return states_fn(a_bar, s, out=x)
 
 
 def _selective_scan(u: Tensor, si: SelectiveInputs, p: SsmParams,
@@ -260,50 +244,65 @@ def _selective_scan(u: Tensor, si: SelectiveInputs, p: SsmParams,
     delta = si.delta.data
     bdata = si.b.data
     cdata = si.c.data
-    a = -np.exp(p.a_log.data)                       # (D, N)
-    recording = tz._active_tape() is not None and any(
-        t.requires_grad for t in (u, si.delta, si.b, si.c, p.a_log, p.d_skip))
-    work = _scan_workspace(delta.shape + (a.shape[1],), delta.dtype, recording)
-    x = np.multiply(delta[:, :, None], a[None, :, :], out=work[_SLOT_X])
-    a_bar = np.exp(x, out=work[_SLOT_ABAR])
-    ph = work[_SLOT_PH]
-    dph = work[_SLOT_DPH]
-    _phi_pair_into(x, ph, dph, scratch=work[_SLOT_S])
-    b_bar = np.multiply(ph, delta[:, :, None], out=work[_SLOT_BBAR])
-    b_bar *= bdata[:, None, :]
-    s = np.multiply(b_bar, udata[:, :, None], out=work[_SLOT_S])
-    h = states_fn(a_bar, s, out=work[_SLOT_H])
-    z = np.einsum("ldn,ln->ld", h, cdata) + udata * p.d_skip.data
+    # state slabs are laid out (time, N, D) so every broadcast runs along D
+    a_t = np.ascontiguousarray(-np.exp(p.a_log.data).T)
+    dtype = delta.dtype
+    spans = [(t0, min(t0 + CHUNK, len(delta))) for t0 in range(0, len(delta), CHUNK)]
+    boundary = np.zeros((len(spans) + 1,) + a_t.shape, dtype=dtype)  # h entering chunk k
+    x, a_bar, s = np.empty((3, CHUNK) + a_t.shape, dtype=dtype)
+    z = np.empty_like(udata)
+    for k, (t0, t1) in enumerate(spans):
+        n = t1 - t0
+        hc = _chunk_states(states_fn, boundary[k], delta[t0:t1], bdata[t0:t1],
+                           delta[t0:t1] * udata[t0:t1], a_t, x[:n], a_bar[:n], s[:n], s[:n])
+        np.matmul(cdata[t0:t1, None, :], hc, out=z[t0:t1, None, :])
+        boundary[k + 1] = hc[-1]
+    z += udata * p.d_skip.data
 
     inputs = (u, si.delta, si.b, si.c, p.a_log, p.d_skip)
 
     def bwd(g):
-        gh = g[:, :, None] * cdata[:, None, :]
-        lam = np.empty_like(gh)
-        lam[-1] = gh[-1]
-        for t in range(g.shape[0] - 2, -1, -1):
-            np.multiply(a_bar[t + 1], lam[t + 1], out=lam[t])
-            lam[t] += gh[t]
-        h_prev = np.empty_like(h)
-        h_prev[0] = 0.0
-        h_prev[1:] = h[:-1]
-        d_b_bar = lam * udata[:, :, None]
-        d_x = lam * h_prev * a_bar + d_b_bar * delta[:, :, None] * bdata[:, None, :] * dph
-        if si.c.requires_grad:
-            _accum(si.c, np.einsum("ld,ldn->ln", g, h))
-        if si.b.requires_grad:
-            _accum(si.b, np.einsum("ldn,ld->ln", d_b_bar * ph, delta))
-        if si.delta.requires_grad:
-            dd = np.einsum("ldn,ldn->ld", d_b_bar, ph * bdata[:, None, :])
-            dd += np.einsum("ldn,dn->ld", d_x, a)
-            _accum(si.delta, dd)
-        if u.requires_grad:
-            _accum(u, g * p.d_skip.data + np.einsum("ldn,ldn->ld", lam, b_bar))
-        if p.a_log.requires_grad:
-            da = np.einsum("ldn,ld->dn", d_x, delta)
-            _accum(p.a_log, da * a)
-        if p.d_skip.requires_grad:
-            _accum(p.d_skip, (g * udata).sum(axis=0))
+        g_u = g * p.d_skip.data
+        g_delta = np.empty_like(delta)
+        g_b = np.empty_like(bdata)
+        g_c = np.empty_like(cdata)
+        g_a = np.zeros_like(a_t)
+        x, a_bar, phi, dphi, lam = np.empty((5, CHUNK) + a_t.shape, dtype=dtype)
+        carry = np.zeros_like(a_t)                 # a_bar[t+1]*lam[t+1] past the chunk
+        for k in range(len(spans) - 1, -1, -1):
+            t0, t1 = spans[k]
+            n = t1 - t0
+            ac, pc, dc, lc = a_bar[:n], phi[:n], dphi[:n], lam[:n]
+            bc, duc, gc = bdata[t0:t1], delta[t0:t1] * udata[t0:t1], g[t0:t1]
+            hc = _chunk_states(states_fn, boundary[k], delta[t0:t1], bc, duc, a_t,
+                               x[:n], ac, pc, lc, dc)
+            # lam[t] = dL/dh[t] = c[t] g[t] + a_bar[t+1] lam[t+1]
+            np.multiply(cdata[t0:t1, :, None], gc[:, None, :], out=lc)
+            lc[-1] += carry
+            for t in range(n - 2, -1, -1):
+                lc[t] += ac[t + 1] * lc[t + 1]
+            np.multiply(ac[0], lc[0], out=carry)
+            np.matmul(hc, gc[:, :, None], out=g_c[t0:t1, :, None])
+            # through x = delta*a: dL/dx = lam*(a_bar*h[t-1] + dphi*delta*u*b),
+            # using a_bar*h[t-1] = h[t] - phi*delta*u*b
+            dc -= pc
+            dc *= duc[:, None, :]
+            dc *= bc[:, :, None]
+            dc += hc
+            dc *= lc
+            dc *= a_t                                  # dL/dx * dx/ddelta
+            g_delta[t0:t1] = dc.sum(axis=1)
+            g_a += np.einsum("tnd,td->nd", dc, delta[t0:t1])
+            # through b_bar = phi*delta*b: lam*phi contracted over N and over D
+            pc *= lc
+            lpb = np.matmul(bc[:, None, :], pc)[:, 0, :]
+            g_u[t0:t1] += delta[t0:t1] * lpb
+            g_delta[t0:t1] += udata[t0:t1] * lpb
+            np.matmul(pc, duc[:, :, None], out=g_b[t0:t1, :, None])
+        grads = (g_u, g_delta, g_b, g_c, g_a.T, (g * udata).sum(axis=0))
+        for t, grad in zip(inputs, grads):
+            if t.requires_grad:
+                _accum(t, grad)
 
     return tz._finish("selective_scan", z, inputs, bwd)
 

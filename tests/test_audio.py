@@ -61,6 +61,26 @@ def test_not_a_wav_rejected(tmp_path):
         load_wav(path)
 
 
+def test_wav_data_shorter_than_declared_rejected(tmp_path):
+    path = tmp_path / "short.wav"
+    save_wav(path, Waveform(np.zeros(1000)))
+    path.write_bytes(path.read_bytes()[:-500])
+    with pytest.raises(AudioError, match="truncated") as err:
+        load_wav(path)
+    assert str(path) in str(err.value)
+
+
+def test_wav_odd_pcm16_byte_count_rejected(tmp_path):
+    path = tmp_path / "odd.wav"
+    save_wav(path, Waveform(np.zeros(1000)))
+    raw = bytearray(path.read_bytes())
+    raw[40:44] = (2001).to_bytes(4, "little")   # data chunk size field
+    path.write_bytes(bytes(raw) + b"\x00\x00")   # one more data byte, then the pad byte
+    with pytest.raises(AudioError, match="whole number") as err:
+        load_wav(path)
+    assert str(path) in str(err.value)
+
+
 def test_stft_zero_input():
     spec = stft(Waveform(np.zeros(4000)))
     assert np.max(np.abs(spec.re)) == 0.0 and np.max(np.abs(spec.im)) == 0.0

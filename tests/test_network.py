@@ -271,6 +271,16 @@ def test_checkpoint_truncated(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    cfg = tiny_cfg()
+    w = init_params(cfg, 0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, w, cfg)
+    path.write_bytes(path.read_bytes() + b"\x00" * 3)
+    with pytest.raises(CheckpointError, match="3 trailing bytes"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_config_mismatch_names_offender(tmp_path):
     cfg = tiny_cfg()
     w = init_params(cfg, 0)

@@ -1,14 +1,17 @@
 """ZOH discretization and the three scan evaluators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from convmamba.scan import (SelectiveInputs, SsmParams, discretize_zoh,
+from convmamba.scan import (CHUNK, SelectiveInputs, SsmParams, discretize_zoh,
                             dt_rank_for, init_ssm_params, lti_apply,
                             lti_kernel, selective_scan_parallel,
                             selective_scan_seq, softplus_inverse,
                             ssm_parameterize)
-from convmamba.tensor import Tensor, finite_diff_check, sum_all
+from convmamba.tensor import (Tape, Tensor, backward, finite_diff_check, mul,
+                              sum_all)
 
 
 def t64(a, requires_grad=False):
@@ -294,3 +297,51 @@ def test_scan_gradient_direct_inputs():
 
     for field in (si.delta, si.b, si.c):
         assert finite_diff_check(wrt_delta, field) < 1e-4
+
+
+@pytest.mark.parametrize("length", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_scan_across_chunk_edges_matches_loop(length):
+    rng = np.random.default_rng(length)
+    p = make_params(6, 4, rng)
+    p.d_skip.data[:] = rng.uniform(0.1, 1.0, 6)
+    u, si = random_inputs(rng, length, 6, 4)
+    want = naive_scan(u.data, si.delta.data, si.b.data, si.c.data,
+                      -np.exp(p.a_log.data), p.d_skip.data)
+    for scan in (selective_scan_seq, selective_scan_parallel):
+        assert np.max(np.abs(scan(u, si, p).data - want)) < 1e-10, scan.__name__
+
+
+@pytest.mark.parametrize("scan", [selective_scan_seq, selective_scan_parallel])
+def test_scan_gradients_across_chunk_edges(scan):
+    rng = np.random.default_rng(31)
+    d_inner, n, length = 3, 2, 2 * CHUNK + 3
+    p = make_params(d_inner, n, rng)
+    p.d_skip.data[:] = rng.uniform(0.1, 1.0, d_inner)
+    p.d_skip.requires_grad = True
+    u, si = random_inputs(rng, length, d_inner, n)
+    weights = t64(rng.standard_normal((length, d_inner)))
+
+    def loss(_):
+        return sum_all(mul(scan(u, si, p), weights))
+
+    for field in (u, si.delta, si.b, si.c, p.a_log, p.d_skip):
+        assert finite_diff_check(loss, field) < 1e-4, field
+
+
+def test_taped_scan_keeps_less_than_one_state_slab():
+    rng = np.random.default_rng(2)
+    length, d_inner, n = 1024, 64, 16
+    p = make_params(d_inner, n, rng)
+    u, si = random_inputs(rng, length, d_inner, n)
+    u.requires_grad = True
+    slab = length * d_inner * n * 8
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = sum_all(selective_scan_seq(u, si, p))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < slab, f"{held} bytes held between forward and backward"
+    backward(loss, tape)
+    assert u.grad is not None and p.a_log.grad is not None

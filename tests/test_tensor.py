@@ -80,6 +80,14 @@ def test_activation_saturation_stays_finite():
     assert softplus(x).data[0] > 0.0
 
 
+def test_sigmoid_matches_logistic_at_extremes():
+    # a tanh-based form loses the tail below about -20 to cancellation
+    x = np.array([-700.0, -100.0, -20.0, 20.0, 100.0])
+    want = np.exp(x) / (1.0 + np.exp(x))
+    got = sigmoid(t64(x)).data
+    assert np.max(np.abs(got - want) / want) < 1e-15
+
+
 def test_layer_norm_constant_row():
     x = t64(np.full((2, 5), 3.7))
     out = layer_norm(x, t64(np.ones(5)), t64(np.zeros(5)), eps=1e-5)
