@@ -232,6 +232,16 @@ def from_arrays(cfg: ModelConfig, arrays: dict[str, np.ndarray],
     return weights
 
 
+def replica(weights: NetworkWeights, cfg: ModelConfig) -> NetworkWeights:
+    """A weight tree over the same parameter arrays, not copies, whose tensors
+    keep their own gradients: one thread's tapes accumulate into a replica
+    while another's accumulate into the original, and an in-place update of
+    either's arrays shows in both."""
+    named = weights.named_parameters()
+    return from_arrays(cfg, {p.name: p.tensor.data for p in named},
+                       dtype=named[0].tensor.dtype)
+
+
 # ---------------------------------------------------------------------------
 # forward passes
 # ---------------------------------------------------------------------------

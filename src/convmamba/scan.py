@@ -17,10 +17,12 @@ and, for time-invariant parameters, the equivalent causal convolution with
 the kernel (<c, b_bar>, <c, a_bar*b_bar>, <c, a_bar^2*b_bar>, ...).
 Sequential and parallel forms agree to roundoff on every input.
 
-The scan runs over cache-sized chunks of CHUNK frames; the state carried into
-a chunk is folded into its first drive term, s[0] += a_bar[0]*h, so either
-evaluator runs on a chunk as is. A taped scan keeps its inputs and the state
-entering each chunk, from which its adjoint recomputes the chunk in reverse.
+The scan runs over cache-sized chunks of CHUNK frames (the adjoint's five
+(16, N, d_inner) float32 buffers take 2.5 MiB at d_inner 512, N 16); the
+state carried into a chunk is folded into its first drive term,
+s[0] += a_bar[0]*h, so either evaluator runs on a chunk as is. A taped scan
+keeps its inputs and the state entering each chunk, from which its adjoint
+recomputes the chunk in reverse.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .tensor import Tensor, _accum
 
 TAYLOR_THRESHOLD = 1e-4
 PARALLEL_MIN_LEN = 32
-CHUNK = 64
+CHUNK = 16
 
 
 @dataclass

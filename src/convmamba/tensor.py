@@ -8,6 +8,8 @@ selectable for tight-tolerance tests.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 _DEFAULT_DTYPE = np.float32
@@ -45,6 +47,15 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
 
+    @classmethod
+    def _checked(cls, data: np.ndarray, requires_grad: bool) -> "Tensor":
+        """Wrap values the caller has already found finite, with no copy."""
+        t = cls.__new__(cls)
+        t.data = np.asarray(data)
+        t.requires_grad = requires_grad
+        t.grad = None
+        return t
+
     @property
     def shape(self) -> tuple:
         return self.data.shape
@@ -80,7 +91,8 @@ class Parameter:
 class Tape:
     """Ordered record of primitive ops; replayed in reverse by backward().
 
-    Single use: one backward pass consumes the tape, a second raises.
+    Single use: one backward pass consumes the tape, a second raises. A tape
+    records only the ops of the thread that opened it.
     """
 
     def __init__(self):
@@ -88,11 +100,11 @@ class Tape:
         self.consumed = False
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPES.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPE_STACK.pop()
+        popped = _TAPES.stack.pop()
         assert popped is self
 
     def record(self, out: Tensor, backward_fn) -> None:
@@ -102,11 +114,19 @@ class Tape:
         return len(self._ops)
 
 
-_TAPE_STACK: list[Tape] = []
+class _TapeStack(threading.local):
+    """The open tapes of the current thread, innermost last."""
+
+    def __init__(self):
+        self.stack: list[Tape] = []
+
+
+_TAPES = _TapeStack()
 
 
 def _active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    stack = _TAPES.stack
+    return stack[-1] if stack else None
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -122,8 +142,7 @@ def _finish(op_name: str, out_data: np.ndarray, inputs, backward_fn) -> Tensor:
         raise ValueError(f"non-finite values produced by {op_name}")
     tape = _active_tape()
     needs = any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=needs and tape is not None,
-                 dtype=out_data.dtype)
+    out = Tensor._checked(out_data, needs and tape is not None)
     if tape is not None and needs:
         tape.record(out, backward_fn)
     return out

@@ -3,15 +3,22 @@
 Each step draws clean utterances (epoch-shuffled), mixes each with a random
 noise segment at an integer SNR drawn uniformly from the configured range,
 builds the mask target, and takes one clipped Adam step on the mask MSE.
-The learning rate follows the inverse-sqrt warm-up schedule unless disabled,
-in which case the fixed base rate applies. Validation pairs are premixed
+The items of a batch run forward and backward on their own tapes, side by
+side on one worker thread per usable core, and their gradients are summed in
+item order, so the step does not depend on the worker count. The learning
+rate follows the inverse-sqrt warm-up schedule unless disabled, in which
+case the fixed base rate applies. Validation pairs are premixed
 once from a derived seed and scored after every epoch; the best checkpoint
 is the one with the lowest validation loss.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +29,7 @@ from .audio import (DegenerateSignalError, StftConfig, Waveform, load_wav,
                     magnitude, mix_at_snr, stft)
 from .checkpoint import save_checkpoint
 from .masks import MaskKind, irm, mask_mse_loss, psm
-from .network import ModelConfig, NetworkWeights, forward, init_params
+from .network import ModelConfig, NetworkWeights, forward, init_params, replica
 from .tensor import Parameter, Tape, Tensor, backward
 
 
@@ -217,17 +224,103 @@ def make_batch(items: list[TrainItem]) -> Batch:
     return Batch(noisy, target, valid, [item.meta for item in items])
 
 
+def _item_loss(batch: Batch, i: int, weights: NetworkWeights,
+               cfg: ModelConfig) -> Tensor:
+    """Mask MSE of item i, run at its true length so padding never enters."""
+    n = int(batch.frame_valid[i].sum())
+    pred = forward(Tensor(batch.noisy_mag[i, :n]), weights, cfg).values
+    return mask_mse_loss(pred, Tensor(batch.target_mask[i, :n]),
+                         np.ones(n, dtype=bool))
+
+
 def batch_loss(batch: Batch, weights: NetworkWeights, cfg: ModelConfig) -> Tensor:
     """Mean of per-utterance mask MSE; each item runs at its true length so
     padding can never influence the loss."""
     total = None
     for i in range(batch.noisy_mag.shape[0]):
-        n = int(batch.frame_valid[i].sum())
-        pred = forward(Tensor(batch.noisy_mag[i, :n]), weights, cfg).values
-        item = mask_mse_loss(pred, Tensor(batch.target_mask[i, :n]),
-                             np.ones(n, dtype=bool))
+        item = _item_loss(batch, i, weights, cfg)
         total = item if total is None else tz.add(total, item)
     return tz.scale(total, 1.0 / batch.noisy_mag.shape[0])
+
+
+class ItemWorkers:
+    """Threads that run batch items side by side, each item on a replica of
+    the weights (see network.replica) that no other thread is using; leaving
+    the `with` block joins them."""
+
+    def __init__(self, weights: NetworkWeights, cfg: ModelConfig, threads: int):
+        self._pool = ThreadPoolExecutor(threads, thread_name_prefix="convmamba-item")
+        self._idle = queue.SimpleQueue()
+        for _ in range(threads):
+            self._idle.put(replica(weights, cfg))
+
+    def __enter__(self) -> "ItemWorkers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._pool.shutdown(cancel_futures=True)
+
+    def map(self, fn, items):
+        """fn(replica, item) for every item, yielded in item order. An item's
+        exception is raised here, and items not yet started are dropped."""
+        def run(item):
+            weights = self._idle.get()
+            try:
+                return fn(weights, item)
+            finally:
+                self._idle.put(weights)
+        return self._pool.map(run, items)
+
+
+def _item_gradients(weights: NetworkWeights, batch: Batch, i: int,
+                    cfg: ModelConfig) -> tuple[np.ndarray, list]:
+    """Item i's loss, and the gradients of its 1/items share of the batch
+    loss, taken off weights' tensors (which are left without gradients)."""
+    weights.zero_grads()
+    with Tape() as tape:
+        loss = _item_loss(batch, i, weights, cfg)
+        share = tz.scale(loss, 1.0 / batch.noisy_mag.shape[0])
+    backward(share, tape)
+    grads = [p.tensor.grad for p in weights.named_parameters()]
+    weights.zero_grads()
+    return loss.data, grads
+
+
+def batch_gradients(batch: Batch, weights: NetworkWeights, cfg: ModelConfig,
+                    workers: ItemWorkers | None = None) -> float:
+    """Set each parameter's .grad to the gradient of batch_loss; return that
+    loss.
+
+    Each item runs forward and backward on its own tape: on the workers when
+    given and the batch has more than one item, else one after another on
+    the calling thread. The item gradients are summed in item order either
+    way, so the result does not depend on the worker count.
+    """
+    items = range(batch.noisy_mag.shape[0])
+    if workers is None or len(items) == 1:
+        results = (_item_gradients(weights, batch, i, cfg) for i in items)
+    else:
+        results = workers.map(lambda w, i: _item_gradients(w, batch, i, cfg), items)
+    params = weights.named_parameters()
+    sums: list = [None] * len(params)
+    total = None
+    for loss, grads in results:
+        total = loss if total is None else total + loss
+        for k, g in enumerate(grads):
+            if sums[k] is None:
+                sums[k] = g
+            elif g is not None:
+                sums[k] += g
+    for p, g in zip(params, sums):
+        p.tensor.grad = g
+    # the same additions and scaling as batch_loss's forward pass
+    return float(total * total.dtype.type(1.0 / len(items)))
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +367,10 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
     step = 0
     last_loss = math.nan
     stop = False
-    with open(csv_path, "w", encoding="utf-8") as log:
+    threads = min(_usable_cores(), train_cfg.batch_size)
+    with open(csv_path, "w", encoding="utf-8") as log, (
+            ItemWorkers(weights, model_cfg, threads) if threads > 1
+            else contextlib.nullcontext()) as workers:
         log.write("step,epoch,split,loss,lr\n")
         for epoch in range(1, train_cfg.epochs + 1):
             order = rng.permutation(len(clean_pool))
@@ -284,15 +380,11 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
                                         clean_index=int(ci), stft_cfg=stft_cfg)
                          for ci in chunk]
                 batch = make_batch(items)
-                weights.zero_grads()
-                with Tape() as tape:
-                    loss = batch_loss(batch, weights, model_cfg)
-                backward(loss, tape)
+                last_loss = batch_gradients(batch, weights, model_cfg, workers)
                 clip_gradients(params, train_cfg.clip_lo, train_cfg.clip_hi)
                 step += 1
                 lr = lr_for_step(step, model_cfg.d_model, train_cfg)
                 adam_step(params, adam, lr, train_cfg)
-                last_loss = loss.item()
                 log.write(f"{step},{epoch},train,{last_loss:.10e},{lr:.10e}\n")
                 if train_cfg.max_steps and step >= train_cfg.max_steps:
                     stop = True

@@ -270,3 +270,55 @@ def test_default_dtype_switch():
     assert Tensor([1.0]).data.dtype == np.float32
     with pytest.raises(ValueError):
         T.set_default_dtype("f16")
+
+
+def test_nonfinite_op_output_names_the_op():
+    with pytest.raises(ValueError, match="non-finite values produced by exp"):
+        T.exp(t64([1000.0]))
+
+
+def test_one_isfinite_pass_per_op(monkeypatch):
+    x = t64([[0.5, -1.0], [2.0, 0.25]], requires_grad=True)
+    gamma, beta = t64([1.0, 1.0], requires_grad=True), t64([0.0, 0.0])
+    ops = [lambda: matmul(x, x), lambda: add(x, x), lambda: silu(x),
+           lambda: sigmoid(x), lambda: layer_norm(x, gamma, beta),
+           lambda: sum_all(x), lambda: scale(x, 3.0)]
+    calls = []
+    real = np.isfinite
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    for op in ops:
+        calls.clear()
+        with Tape():
+            op()
+        assert len(calls) == 1
+        calls.clear()
+        op()
+        assert len(calls) == 1
+
+
+def test_tape_records_only_its_own_thread():
+    import threading
+    x = t64([1.0, 2.0], requires_grad=True)
+    seen = {}
+
+    def other():
+        seen["untaped"] = mul(x, x)
+        with Tape() as inner:
+            mul(x, x)
+        seen["inner_len"] = len(inner)
+
+    with Tape() as tape:
+        worker = threading.Thread(target=other)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert len(tape) == 0
+        mul(x, x)
+    assert len(tape) == 1
+    assert not seen["untaped"].requires_grad
+    assert seen["inner_len"] == 1

@@ -1,18 +1,22 @@
 """Schedule, optimizer, mixing pipeline, batching, and the training loop."""
 
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from convmamba.audio import DegenerateSignalError, StftConfig, Waveform, save_wav
 from convmamba.masks import MaskKind
-from convmamba.network import ModelConfig, init_params
-from convmamba.tensor import Parameter, Tensor
-from convmamba.training import (AdamState, Batch, TrainConfig, WavPool,
-                                adam_step, batch_loss, clip_gradients,
-                                list_pool, make_batch, sample_mixture,
-                                train_loop, warmup_lr, lr_for_step)
+from convmamba.network import ModelConfig, init_params, replica
+from convmamba import training
+from convmamba.tensor import Parameter, Tape, Tensor, backward
+from convmamba.training import (AdamState, Batch, ItemWorkers, TrainConfig,
+                                WavPool, adam_step, batch_gradients, batch_loss,
+                                clip_gradients, list_pool, make_batch,
+                                sample_mixture, train_loop, warmup_lr,
+                                lr_for_step)
 
 
 def test_warmup_reference_values():
@@ -271,3 +275,126 @@ def test_loss_trend_downward_across_seeds(corpus, tmp_path):
         if np.mean(losses[25:]) < np.mean(losses[:25]):
             wins += 1
     assert wins >= 9
+
+
+def _uneven_batch(corpus, count, seed):
+    clean, noise = pools(corpus)
+    rng = np.random.default_rng(seed)
+    items = [sample_mixture(clean, noise, TrainConfig(), rng) for _ in range(count)]
+    for i, item in enumerate(items):  # a different length for every item
+        n = item.noisy_mag.shape[0] - 3 * i
+        item.noisy_mag, item.target = item.noisy_mag[:n], item.target[:n]
+    return make_batch(items)
+
+
+def test_threaded_gradients_match_single_tape(corpus):
+    from conftest import f64_mode
+    batch = _uneven_batch(corpus, 3, 8)
+    mcfg = small_model()
+    with f64_mode():
+        weights = init_params(mcfg, 2)
+        with Tape() as tape:
+            loss = batch_loss(batch, weights, mcfg)
+        backward(loss, tape)
+        want = {p.name: p.tensor.grad.copy() for p in weights.named_parameters()}
+        with ItemWorkers(weights, mcfg, 2) as workers:
+            got = batch_gradients(batch, weights, mcfg, workers)
+    assert abs(got - loss.item()) <= 1e-12 * abs(loss.item())
+    for p in weights.named_parameters():
+        scale = np.max(np.abs(want[p.name]))
+        assert np.max(np.abs(p.tensor.grad - want[p.name])) <= 1e-12 * scale, p.name
+
+
+def test_gradients_bitwise_equal_under_thread_contention(corpus):
+    # more workers than cores and a short switch interval: two threads
+    # sharing a replica's gradients would show as a bit difference
+    batch = _uneven_batch(corpus, 6, 9)
+    mcfg = small_model()
+    weights = init_params(mcfg, 3)
+    want_loss = batch_gradients(batch, weights, mcfg)
+    want = [p.tensor.grad.copy() for p in weights.named_parameters()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ItemWorkers(weights, mcfg, 4) as workers:
+            for _ in range(3):
+                assert batch_gradients(batch, weights, mcfg, workers) == want_loss
+                for p, g in zip(weights.named_parameters(), want):
+                    np.testing.assert_array_equal(p.tensor.grad, g)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_worker_failure_raises_and_leaves_weights(corpus):
+    batch = _uneven_batch(corpus, 3, 10)
+    batch.noisy_mag[1, 0, 0] = np.inf
+    mcfg = small_model()
+    weights = init_params(mcfg, 4)
+    before = _weights_digest(weights)
+    with pytest.raises(ValueError) as single:
+        batch_loss(batch, weights, mcfg)
+    with ItemWorkers(weights, mcfg, 2) as workers:
+        with pytest.raises(ValueError) as threaded:
+            batch_gradients(batch, weights, mcfg, workers)
+    assert str(threaded.value) == str(single.value)
+    assert _weights_digest(weights) == before
+    assert all(p.tensor.grad is None for p in weights.named_parameters())
+
+
+def test_train_loop_worker_failure_stops_before_adam(corpus, tmp_path, monkeypatch):
+    clean, noise = pools(corpus)
+    steps = []
+    real_make_batch, real_adam_step = training.make_batch, training.adam_step
+
+    def poisoned(items):
+        batch = real_make_batch(items)
+        batch.noisy_mag[1, 0, 0] = np.nan
+        return batch
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return real_adam_step(*args, **kwargs)
+
+    monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(training, "make_batch", poisoned)
+    monkeypatch.setattr(training, "adam_step", counted)
+    threads = threading.active_count()
+    tcfg = TrainConfig(batch_size=3, epochs=1, seed=5, val_items=1, checkpoint_every=0)
+    with pytest.raises(ValueError, match="non-finite"):
+        train_loop(small_model(), tcfg, clean, noise, tmp_path / "run")
+    assert steps == []
+    assert threading.active_count() == threads
+
+
+def test_train_loop_same_bytes_for_any_worker_count(corpus, tmp_path, monkeypatch):
+    clean, noise = pools(corpus)
+    mcfg = small_model()
+    tcfg = TrainConfig(batch_size=3, epochs=2, seed=11, val_items=1,
+                       use_warmup=False, lr_base=1e-3, checkpoint_every=0)
+    runs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(training, "_usable_cores", lambda: cores)
+        threads = threading.active_count()
+        runs.append(train_loop(mcfg, tcfg, clean, noise, tmp_path / f"cores{cores}"))
+        assert threading.active_count() == threads
+    one, two = runs
+    assert one.steps == two.steps == 2
+    assert one.metrics_csv.read_bytes() == two.metrics_csv.read_bytes()
+    assert one.final_checkpoint.read_bytes() == two.final_checkpoint.read_bytes()
+
+
+def test_replica_shares_arrays_and_sees_adam_step():
+    mcfg = small_model()
+    weights = init_params(mcfg, 6)
+    rep = replica(weights, mcfg)
+    pairs = list(zip(weights.named_parameters(), rep.named_parameters()))
+    assert all(p.name == q.name and p.tensor.data is q.tensor.data
+               and p.tensor is not q.tensor for p, q in pairs)
+    for p, _ in pairs:
+        p.tensor.grad = np.ones_like(p.tensor.data)
+    adam_step(weights.named_parameters(), AdamState(), 1e-2, TrainConfig())
+    for p, q in pairs:
+        np.testing.assert_array_equal(q.tensor.data, p.tensor.data)
+        assert q.tensor.grad is None
+    assert _weights_digest(rep) == _weights_digest(weights) != _weights_digest(
+        init_params(mcfg, 6))
