@@ -299,7 +299,10 @@ def test_scan_gradient_direct_inputs():
         assert finite_diff_check(wrt_delta, field) < 1e-4
 
 
-@pytest.mark.parametrize("length", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+# Lengths around the current chunk length, plus fixed ones (63, 64, 65, 197)
+# that straddle chunk edges for any CHUNK that is a power of two up to 64.
+@pytest.mark.parametrize("length", sorted({1, 63, 64, 65, 197, CHUNK - 1, CHUNK,
+                                           CHUNK + 1, 3 * CHUNK + 5}))
 def test_scan_across_chunk_edges_matches_loop(length):
     rng = np.random.default_rng(length)
     p = make_params(6, 4, rng)
