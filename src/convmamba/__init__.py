@@ -6,13 +6,12 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .masks import Mask, MaskKind, apply_mask, irm, mask_mse_loss, psm
 from .metrics import MetricReport, seg_snr, si_sdr
 from .network import (ModelConfig, NetworkWeights, count_params, forward,
-                      forward_bidirectional, init_params)
+                      init_params)
 from .pipeline import enhance_waveform
-from .scan import (SelectiveInputs, SsmParams, discretize_zoh, lti_apply,
-                   lti_kernel, selective_scan_parallel, selective_scan_seq,
-                   ssm_parameterize)
-from .tensor import (Parameter, Tape, Tensor, activation, backward,
-                     finite_diff_check, set_default_dtype)
+from .scan import (SelectiveInputs, SsmParams, discretize_zoh,
+                   selective_scan_seq, ssm_parameterize)
+from .tensor import (Parameter, Tape, Tensor, backward, finite_diff_check,
+                     set_default_dtype)
 from .training import (AdamState, Batch, TrainConfig, WavPool, adam_step,
                        clip_gradients, make_batch, sample_mixture, train_loop,
                        warmup_lr)

@@ -1,4 +1,4 @@
-"""Command-line interface: train | enhance | eval | bench-scan | gradcheck.
+"""Command-line interface: train | enhance | eval | gradcheck.
 
 All commands are deterministic under a fixed --seed, and every error path
 exits nonzero with a single "error: ..." line on stderr.
@@ -8,10 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
-
-import numpy as np
 
 from . import tensor as tz
 from .audio import AudioError, load_wav, save_wav
@@ -19,9 +16,6 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .masks import MaskKind
 from .pipeline import enhance_waveform, evaluate_corpus, rows_to_csv
 from .runconfig import ConfigError, load_run_config
-from .scan import (SelectiveInputs, init_ssm_params, selective_scan_parallel,
-                   selective_scan_seq)
-from .tensor import Tensor
 from .training import WavPool, list_pool, train_loop
 
 GRAD_TOLERANCE = 1e-4
@@ -60,13 +54,6 @@ def _build_parser() -> _Parser:
     v.add_argument("--count", type=int, default=None,
                    help="limit the number of clean files")
     v.add_argument("--out", default=None, help="write the CSV here")
-
-    b = sub.add_parser("bench-scan", help="time the scan evaluators")
-    b.add_argument("--lengths", default="1024,2048,4096,8192,16384")
-    b.add_argument("--d-inner", type=int, default=8)
-    b.add_argument("--n-state", type=int, default=4)
-    b.add_argument("--repeats", type=int, default=3)
-    b.add_argument("--out", default=None)
 
     g = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     g.add_argument("--preset", default="default")
@@ -130,40 +117,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_bench_scan(args) -> int:
-    lengths = [int(s) for s in args.lengths.split(",") if s.strip()]
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    lines = ["L,evaluator,mean_ms,max_abs_diff"]
-    for length in lengths:
-        p = init_ssm_params(args.d_inner, args.n_state,
-                            max(1, args.d_inner // 4), rng)
-        u = Tensor(rng.standard_normal((length, args.d_inner)))
-        si = SelectiveInputs(
-            delta=Tensor(rng.uniform(1e-3, 0.3, (length, args.d_inner))),
-            b=Tensor(rng.standard_normal((length, args.n_state))),
-            c=Tensor(rng.standard_normal((length, args.n_state))))
-        timings = {}
-        outs = {}
-        for name, fn in (("sequential", selective_scan_seq),
-                         ("parallel", selective_scan_parallel)):
-            elapsed = []
-            for _ in range(args.repeats):
-                start = time.perf_counter()
-                outs[name] = fn(u, si, p).data
-                elapsed.append(time.perf_counter() - start)
-            timings[name] = 1000.0 * min(elapsed)
-        diff = float(np.max(np.abs(outs["sequential"] - outs["parallel"])))
-        lines.append(f"{length},sequential,{timings['sequential']:.3f},0")
-        lines.append(f"{length},parallel,{timings['parallel']:.3f},{diff:.3e}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def cmd_gradcheck(args) -> int:
     from .gradcheck import run_suite
     results = run_suite(args.preset)
@@ -181,7 +134,7 @@ def cmd_gradcheck(args) -> int:
 
 
 _COMMANDS = {"train": cmd_train, "enhance": cmd_enhance, "eval": cmd_eval,
-             "bench-scan": cmd_bench_scan, "gradcheck": cmd_gradcheck}
+             "gradcheck": cmd_gradcheck}
 
 
 def main(argv=None) -> int:

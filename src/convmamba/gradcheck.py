@@ -13,36 +13,7 @@ from .layers import conv_mamba_layer, depthwise_conv1d, mamba_layer
 from .masks import mask_mse_loss
 from .network import ModelConfig, forward, init_params
 from .scan import selective_scan_seq, ssm_parameterize
-from .tensor import Tape, Tensor, backward, sum_all
-
-
-def max_grad_error(loss_fn, tensors: dict[str, Tensor], h: float = 1e-5) -> dict[str, float]:
-    """Analytic gradients from one backward pass vs per-coordinate central
-    differences; returns the max relative error for each named tensor."""
-    for t in tensors.values():
-        t.requires_grad = True
-        t.zero_grad()
-    with Tape() as tape:
-        loss = loss_fn()
-    backward(loss, tape)
-    analytic = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
-                for name, t in tensors.items()}
-    errors = {}
-    for name, t in tensors.items():
-        flat = t.data.reshape(-1)
-        worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = float(loss_fn().data)
-            flat[i] = orig - h
-            lo = float(loss_fn().data)
-            flat[i] = orig
-            fd = (hi - lo) / (2.0 * h)
-            err = abs(analytic[name].reshape(-1)[i] - fd) / max(1.0, abs(fd))
-            worst = max(worst, err)
-        errors[name] = worst
-    return errors
+from .tensor import Tensor, sum_all
 
 
 def _t(rng, *shape):
@@ -58,8 +29,8 @@ def run_suite(preset: str = "default") -> list[tuple[str, float]]:
     results: list[tuple[str, float]] = []
 
     def record(name, loss_fn, tensors):
-        errs = max_grad_error(loss_fn, tensors)
-        results.append((name, max(errs.values())))
+        results.append((name, max(tz.finite_diff_check(lambda _: loss_fn(), t)
+                                  for t in tensors.values())))
 
     x = _t(rng, 3, 4)
     y = _t(rng, 3, 4)

@@ -258,10 +258,3 @@ def forward(y_mag: Tensor, w: NetworkWeights, cfg: ModelConfig,
         x = conv_mamba_layer(x, layer, outer_padding)
     logits = tz.add(tz.matmul(x, w.out_weight), w.out_bias)
     return Mask(tz.sigmoid(logits), kind)
-
-
-def forward_bidirectional(y_mag: Tensor, w: NetworkWeights, cfg: ModelConfig,
-                          kind: MaskKind = MaskKind.IRM) -> Mask:
-    if not cfg.bidirectional:
-        raise ValueError("config is not bidirectional")
-    return forward(y_mag, w, cfg, kind)

@@ -1,4 +1,4 @@
-"""Selective state-space core: ZOH discretization and scan evaluators.
+"""Selective state-space core: ZOH discretization and the selective scan.
 
 Per channel d the recurrence over an N-dimensional hidden state is
 
@@ -7,20 +7,13 @@ Per channel d the recurrence over an N-dimensional hidden state is
 
 where (a_bar_t, b_bar_t) come from zero-order-hold discretization of a
 continuous pair (A, B) at a per-timestep, per-channel step size delta_t > 0,
-and delta, B, C are themselves projections of the input sequence. Three
-evaluators are provided: a sequential recurrence, a Blelloch-style parallel
-prefix scan over the associative operator
-
-    (a1, b1) o (a2, b2) = (a2*a1, a2*b1 + b2),
-
-and, for time-invariant parameters, the equivalent causal convolution with
-the kernel (<c, b_bar>, <c, a_bar*b_bar>, <c, a_bar^2*b_bar>, ...).
-Sequential and parallel forms agree to roundoff on every input.
+and delta, B, C are themselves projections of the input sequence. The scan
+evaluates the recurrence step by step.
 
 The scan runs over cache-sized chunks of CHUNK frames (the adjoint's five
 (16, N, d_inner) float32 buffers take 2.5 MiB at d_inner 512, N 16); the
 state carried into a chunk is folded into its first drive term,
-s[0] += a_bar[0]*h, so either evaluator runs on a chunk as is. A taped scan
+s[0] += a_bar[0]*h, so each chunk's recurrence starts from zero. A taped scan
 keeps its inputs and the state entering each chunk, from which its adjoint
 recomputes the chunk in reverse.
 """
@@ -35,7 +28,6 @@ from . import tensor as tz
 from .tensor import Tensor, _accum
 
 TAYLOR_THRESHOLD = 1e-4
-PARALLEL_MIN_LEN = 32
 CHUNK = 16
 
 
@@ -136,10 +128,6 @@ def _zoh(x, a_bar=None, phi=None, dphi=None):
     return a_bar, phi
 
 
-def _phi(x: np.ndarray) -> np.ndarray:
-    return _zoh(np.asarray(x, dtype=np.result_type(x, np.float32)))[1]
-
-
 def discretize_zoh(a, b, delta):
     """Zero-order-hold discretization of dh/dt = a*h + b*u over a step delta.
 
@@ -176,13 +164,11 @@ def ssm_parameterize(x: Tensor, p: SsmParams) -> SelectiveInputs:
 
 
 # ---------------------------------------------------------------------------
-# scan evaluators
+# selective scan
 # ---------------------------------------------------------------------------
 
-def _states_sequential(a_bar: np.ndarray, s: np.ndarray,
-                       out: np.ndarray | None = None) -> np.ndarray:
+def _states_sequential(a_bar: np.ndarray, s: np.ndarray, h: np.ndarray) -> np.ndarray:
     # h[t] = a_bar[t]*h[t-1] + s[t], written in place
-    h = np.empty_like(s) if out is None else out
     h[0] = s[0]
     for t in range(1, s.shape[0]):
         np.multiply(a_bar[t], h[t - 1], out=h[t])
@@ -190,44 +176,7 @@ def _states_sequential(a_bar: np.ndarray, s: np.ndarray,
     return h
 
 
-def _states_parallel(a_bar: np.ndarray, s: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Blelloch up/down sweep over (a, b) pairs; identity element (1, 0)."""
-    length = s.shape[0]
-    if length < PARALLEL_MIN_LEN:
-        return _states_sequential(a_bar, s, out)
-    size = 1 << (length - 1).bit_length()
-    a = np.ones((size,) + s.shape[1:], dtype=s.dtype)
-    b = np.zeros((size,) + s.shape[1:], dtype=s.dtype)
-    a[:length] = a_bar
-    b[:length] = s
-    step = 1
-    while step < size:  # up-sweep: each right node absorbs its left sibling
-        right = np.arange(2 * step - 1, size, 2 * step)
-        left = right - step
-        b[right] = a[right] * b[left] + b[right]
-        a[right] = a[right] * a[left]
-        step *= 2
-    a[size - 1] = 1.0
-    b[size - 1] = 0.0
-    step = size // 2
-    while step >= 1:  # down-sweep: distribute exclusive prefixes
-        right = np.arange(2 * step - 1, size, 2 * step)
-        left = right - step
-        a_sub = a[left]
-        b_sub = b[left]
-        a[left] = a[right]
-        b[left] = b[right]
-        b[right] = a_sub * b[right] + b_sub
-        a[right] = a_sub * a[right]
-        step //= 2
-    # (a, b) now hold the exclusive scan; fold in the element itself
-    h = np.multiply(a_bar, b[:length], out=out)
-    h += s
-    return h
-
-
-def _chunk_states(states_fn, h0, delta, b, du, a_t, x, a_bar, phi, s, dphi=None):
+def _chunk_states(h0, delta, b, du, a_t, x, a_bar, phi, s, dphi=None):
     """States (n, N, D) of one chunk entered with state h0, written over x.
 
     Also fills a_bar, phi and dphi for the chunk; phi and s may share a buffer.
@@ -237,11 +186,11 @@ def _chunk_states(states_fn, h0, delta, b, du, a_t, x, a_bar, phi, s, dphi=None)
     np.multiply(phi, du[:, None, :], out=s)       # phi*delta*u
     s *= b[:, :, None]                             # b_bar*u
     s[0] += a_bar[0] * h0
-    return states_fn(a_bar, s, out=x)
+    return _states_sequential(a_bar, s, x)
 
 
-def _selective_scan(u: Tensor, si: SelectiveInputs, p: SsmParams,
-                    states_fn) -> Tensor:
+def selective_scan_seq(u: Tensor, si: SelectiveInputs, p: SsmParams) -> Tensor:
+    """Evaluate the recurrence step by step from h_0 = 0."""
     udata = u.data
     delta = si.delta.data
     bdata = si.b.data
@@ -255,7 +204,7 @@ def _selective_scan(u: Tensor, si: SelectiveInputs, p: SsmParams,
     z = np.empty_like(udata)
     for k, (t0, t1) in enumerate(spans):
         n = t1 - t0
-        hc = _chunk_states(states_fn, boundary[k], delta[t0:t1], bdata[t0:t1],
+        hc = _chunk_states(boundary[k], delta[t0:t1], bdata[t0:t1],
                            delta[t0:t1] * udata[t0:t1], a_t, x[:n], a_bar[:n], s[:n], s[:n])
         np.matmul(cdata[t0:t1, None, :], hc, out=z[t0:t1, None, :])
         boundary[k + 1] = hc[-1]
@@ -276,7 +225,7 @@ def _selective_scan(u: Tensor, si: SelectiveInputs, p: SsmParams,
             n = t1 - t0
             ac, pc, dc, lc = a_bar[:n], phi[:n], dphi[:n], lam[:n]
             bc, duc, gc = bdata[t0:t1], delta[t0:t1] * udata[t0:t1], g[t0:t1]
-            hc = _chunk_states(states_fn, boundary[k], delta[t0:t1], bc, duc, a_t,
+            hc = _chunk_states(boundary[k], delta[t0:t1], bc, duc, a_t,
                                x[:n], ac, pc, lc, dc)
             # lam[t] = dL/dh[t] = c[t] g[t] + a_bar[t+1] lam[t+1]
             np.multiply(cdata[t0:t1, :, None], gc[:, None, :], out=lc)
@@ -307,44 +256,3 @@ def _selective_scan(u: Tensor, si: SelectiveInputs, p: SsmParams,
                 _accum(t, grad)
 
     return tz._finish("selective_scan", z, inputs, bwd)
-
-
-def selective_scan_seq(u: Tensor, si: SelectiveInputs, p: SsmParams) -> Tensor:
-    """Evaluate the recurrence step by step from h_0 = 0."""
-    return _selective_scan(u, si, p, _states_sequential)
-
-
-def selective_scan_parallel(u: Tensor, si: SelectiveInputs, p: SsmParams) -> Tensor:
-    """Same output as the sequential form via a work-efficient prefix scan."""
-    return _selective_scan(u, si, p, _states_parallel)
-
-
-# ---------------------------------------------------------------------------
-# time-invariant convolution form
-# ---------------------------------------------------------------------------
-
-def lti_kernel(a_bar: np.ndarray, b_bar: np.ndarray, c: np.ndarray,
-               length: int) -> np.ndarray:
-    """Causal kernel K[t] = <c, a_bar^t * b_bar> per channel; shape (length, D)."""
-    a_bar = np.atleast_2d(np.asarray(a_bar, dtype=np.float64))
-    b_bar = np.atleast_2d(np.asarray(b_bar, dtype=np.float64))
-    c = np.asarray(c, dtype=np.float64)
-    kernel = np.empty((length, a_bar.shape[0]))
-    power = np.ones_like(a_bar)
-    for t in range(length):
-        kernel[t] = (power * b_bar) @ c
-        power = power * a_bar
-    return kernel
-
-
-def lti_apply(u: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Causal convolution z_t = sum_{tau<=t} K[tau] * u[t-tau] per channel."""
-    u = np.asarray(u, dtype=np.float64)
-    squeeze = u.ndim == 1
-    if squeeze:
-        u = u[:, None]
-    length = u.shape[0]
-    z = np.zeros_like(u)
-    for tau in range(min(length, kernel.shape[0])):
-        z[tau:] += kernel[tau] * u[:length - tau]
-    return z[:, 0] if squeeze else z

@@ -319,19 +319,6 @@ def exp(x: Tensor) -> Tensor:
     return _finish("exp", e, (x,), bwd)
 
 
-_ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid, "silu": silu,
-                "softplus": softplus, "exp": exp}
-
-
-def activation(kind: str, x: Tensor) -> Tensor:
-    """Apply one of relu | sigmoid | silu | softplus | exp elementwise."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}") from None
-    return fn(x)
-
-
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row of x over its last axis (biased variance), then affine."""
     if x.data.shape[-1] != gamma.data.shape[0] or gamma.data.shape != beta.data.shape:

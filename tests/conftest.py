@@ -1,4 +1,4 @@
-"""Shared synthetic-audio fixtures."""
+"""Shared synthetic-audio fixtures and the scan oracles."""
 
 from contextlib import contextmanager
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from convmamba.audio import Waveform, save_wav
+from convmamba.scan import discretize_zoh
 from convmamba.tensor import set_default_dtype
 
 
@@ -46,3 +47,35 @@ def write_corpus(root, n_clean=3, n_noise=2, seconds=0.5, seed=0):
 @pytest.fixture
 def corpus(tmp_path):
     return write_corpus(tmp_path)
+
+
+def naive_scan(u, delta, b, c, a, d_skip):
+    """Selective scan as a per-step float64 loop: no chunks, no state fold-in."""
+    length, d_inner = u.shape
+    n = b.shape[1]
+    z = np.zeros_like(u)
+    h = np.zeros((d_inner, n))
+    for t in range(length):
+        a_bar, b_bar = discretize_zoh(a, b[t][None, :], delta[t][:, None])
+        h = a_bar * h + b_bar * u[t][:, None]
+        z[t] = h @ c[t] + d_skip * u[t]
+    return z
+
+
+def lti_kernel(a_bar, b_bar, c, length):
+    """Causal kernel K[t] = <c, a_bar^t * b_bar> per channel, shape (length, D),
+    of a scan whose (a_bar, b_bar, c) do not change over time."""
+    kernel = np.empty((length, a_bar.shape[0]))
+    power = np.ones_like(a_bar)
+    for t in range(length):
+        kernel[t] = (power * b_bar) @ c
+        power = power * a_bar
+    return kernel
+
+
+def causal_conv(u, kernel):
+    """z[t] = sum_{tau<=t} K[tau] * u[t-tau] per channel, for u of shape (L, D)."""
+    z = np.zeros_like(u)
+    for tau in range(len(u)):
+        z[tau:] += kernel[tau] * u[:len(u) - tau]
+    return z

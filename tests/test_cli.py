@@ -166,17 +166,6 @@ def test_cli_eval_model_mode_requires_checkpoint(tmp_path, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
-def test_cli_bench_scan_header_and_diff(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert run("--seed", "0", "bench-scan", "--lengths", "64,128",
-               "--repeats", "1", "--out", str(out)) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "L,evaluator,mean_ms,max_abs_diff"
-    assert len(lines) == 5
-    for line in lines[1:]:
-        assert float(line.split(",")[3]) < 1e-5
-
-
 def test_cli_gradcheck_negative_control(monkeypatch, capsys):
     real_finish = tz._finish
     real_sigmoid = tz.sigmoid

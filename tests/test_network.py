@@ -5,9 +5,8 @@ import pytest
 
 from convmamba.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from convmamba.network import (ModelConfig, count_params, forward,
-                               forward_bidirectional, init_params,
-                               parameter_shapes)
-from convmamba.tensor import Tensor
+                               init_params, parameter_shapes)
+from convmamba.tensor import Tensor, finite_diff_check
 
 
 def t64(a):
@@ -93,7 +92,7 @@ def test_bidirectional_palindrome_probe():
     rng = np.random.default_rng(8)
     half = np.abs(rng.standard_normal((6, 17)))
     y = np.vstack([half, half[::-1]])
-    mask = forward_bidirectional(t64(y), w, cfg).values.data
+    mask = forward(t64(y), w, cfg).values.data
     np.testing.assert_allclose(mask, mask[::-1], atol=1e-10)
 
 
@@ -123,17 +122,10 @@ def test_bidirectional_reduces_to_unidirectional_with_zero_reverse():
         getattr(uni, name).data[:] = getattr(w, name).data
     rng = np.random.default_rng(10)
     y = np.abs(rng.standard_normal((11, 17)))
-    m_bi = forward_bidirectional(t64(y), w, cfg).values.data
+    m_bi = forward(t64(y), w, cfg).values.data
     m_uni = forward(t64(y), uni, uni_cfg).values.data
     np.testing.assert_allclose(m_bi, m_uni, atol=1e-12)
     assert m_bi.shape == (11, 17)
-
-
-def test_forward_bidirectional_requires_flag():
-    cfg = tiny_cfg()
-    w = init_params(cfg, 0, dtype=np.float64)
-    with pytest.raises(ValueError, match="bidirectional"):
-        forward_bidirectional(t64(np.zeros((4, 17))), w, cfg)
 
 
 def test_init_deterministic_and_bounded():
@@ -186,7 +178,6 @@ def test_learnable_skip_adds_parameters():
 
 
 def test_bidirectional_with_skip_gradients():
-    from convmamba.gradcheck import max_grad_error
     from convmamba.masks import mask_mse_loss
     cfg = tiny_cfg(n_layers=1, bidirectional=True, learnable_skip=True)
     w = init_params(cfg, 11, dtype=np.float64)
@@ -198,10 +189,8 @@ def test_bidirectional_with_skip_gradients():
     def loss():
         return mask_mse_loss(forward(y, w, cfg).values, target, valid)
 
-    tensors = {p.name: p.tensor for p in w.named_parameters()}
-    tensors["input"] = y
-    errs = max_grad_error(loss, tensors)
-    assert max(errs.values()) < 1e-4
+    tensors = [p.tensor for p in w.named_parameters()] + [y]
+    assert max(finite_diff_check(lambda _: loss(), t) for t in tensors) < 1e-4
 
 
 def test_forward_time_and_memory_scale_linearly():

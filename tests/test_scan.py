@@ -1,17 +1,18 @@
-"""ZOH discretization and the three scan evaluators."""
+"""ZOH discretization and the selective scan, checked against the per-step
+loop and convolution oracles in conftest."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from convmamba.scan import (CHUNK, SelectiveInputs, SsmParams, discretize_zoh,
-                            dt_rank_for, init_ssm_params, lti_apply,
-                            lti_kernel, selective_scan_parallel,
-                            selective_scan_seq, softplus_inverse,
-                            ssm_parameterize)
+from convmamba.scan import (CHUNK, SelectiveInputs, _zoh, discretize_zoh,
+                            dt_rank_for, init_ssm_params, selective_scan_seq,
+                            softplus_inverse, ssm_parameterize)
 from convmamba.tensor import (Tape, Tensor, backward, finite_diff_check, mul,
                               sum_all)
+
+from conftest import lti_kernel, naive_scan
 
 
 def t64(a, requires_grad=False):
@@ -46,18 +47,6 @@ def phi_series(x, terms=30):
     return acc
 
 
-def naive_scan(u, delta, b, c, a, d_skip):
-    length, d_inner = u.shape
-    n = b.shape[1]
-    z = np.zeros_like(u)
-    h = np.zeros((d_inner, n))
-    for t in range(length):
-        a_bar, b_bar = discretize_zoh(a, b[t][None, :], delta[t][:, None])
-        h = a_bar * h + b_bar * u[t][:, None]
-        z[t] = h @ c[t] + d_skip * u[t]
-    return z
-
-
 def test_zoh_closed_form_scalar():
     a_bar, b_bar = discretize_zoh(-1.0, 1.0, np.log(2.0))
     assert abs(a_bar - 0.5) < 1e-15
@@ -85,13 +74,12 @@ def test_zoh_matches_series_oracle():
 
 
 def test_zoh_taylor_branch_continuous_at_threshold():
-    from convmamba.scan import _phi
     for x0 in (1e-4, -1e-4):
         taylor = 1.0 + x0 / 2.0 + x0 ** 2 / 6.0 + x0 ** 3 / 24.0
         direct = np.expm1(x0) / x0
         assert abs(taylor - direct) < 1e-10
-        jump = abs(float(_phi(np.array(x0 * (1 - 1e-12))))
-                   - float(_phi(np.array(x0 * (1 + 1e-12)))))
+        jump = abs(float(_zoh(np.array(x0 * (1 - 1e-12)))[1])
+                   - float(_zoh(np.array(x0 * (1 + 1e-12)))[1]))
         assert jump < 1e-10
 
 
@@ -179,71 +167,11 @@ def test_scan_matches_naive_reference():
     assert np.max(np.abs(z - want)) < 1e-12
 
 
-def test_scan_operator_associativity():
-    rng = np.random.default_rng(17)
-
-    def op(p, q):
-        return (q[0] * p[0], q[0] * p[1] + q[1])
-
-    for _ in range(200):
-        x, y, z = ((rng.standard_normal(4), rng.standard_normal(4)) for _ in range(3))
-        left = op(op(x, y), z)
-        right = op(x, op(y, z))
-        assert np.max(np.abs(left[0] - right[0])) < 1e-12
-        assert np.max(np.abs(left[1] - right[1])) < 1e-12
-
-
-def test_parallel_matches_sequential_short_and_long():
-    rng = np.random.default_rng(30)
-    for length in (1, 2, 5, 31, 32, 33, 64, 100, 128):
-        p = make_params(8, 4, rng)
-        u, si = random_inputs(rng, length, 8, 4)
-        z_seq = selective_scan_seq(u, si, p).data
-        z_par = selective_scan_parallel(u, si, p).data
-        assert np.max(np.abs(z_seq - z_par)) < 1e-10, f"L={length}"
-    # below the parallel threshold the fallback is bit-identical
-    u, si = random_inputs(rng, 7, 8, 4)
-    np.testing.assert_array_equal(selective_scan_seq(u, si, p).data,
-                                  selective_scan_parallel(u, si, p).data)
-
-
 def test_lti_kernel_values():
     k = lti_kernel(np.array([[0.0]]), np.array([[2.0]]), np.array([1.0]), 4)
     np.testing.assert_allclose(k[:, 0], [2.0, 0.0, 0.0, 0.0], atol=0)
     k = lti_kernel(np.array([[0.5]]), np.array([[1.0]]), np.array([1.0]), 3)
     np.testing.assert_allclose(k[:, 0], [1.0, 0.5, 0.25], atol=0)
-
-
-def test_lti_apply_matches_scan_with_constant_inputs():
-    rng = np.random.default_rng(8)
-    d_inner, n, length = 3, 4, 24
-    p = make_params(d_inner, n, rng)
-    delta_row = rng.uniform(0.05, 0.5, d_inner)
-    b_row = rng.standard_normal(n)
-    c_row = rng.standard_normal(n)
-    si = SelectiveInputs(delta=t64(np.tile(delta_row, (length, 1))),
-                         b=t64(np.tile(b_row, (length, 1))),
-                         c=t64(np.tile(c_row, (length, 1))))
-    u = t64(rng.standard_normal((length, d_inner)))
-    z = selective_scan_seq(u, si, p).data
-    a_bar, b_bar = discretize_zoh(-np.exp(p.a_log.data), b_row[None, :],
-                                  delta_row[:, None])
-    kernel = lti_kernel(a_bar, b_bar, c_row, length)
-    want = lti_apply(u.data, kernel)
-    assert np.max(np.abs(z - want)) < 1e-10
-
-
-def test_three_form_equivalence_random_configs():
-    rng = np.random.default_rng(77)
-    for _ in range(15):
-        length = int(rng.integers(2, 129))
-        d_inner = int(rng.integers(1, 17))
-        n = int(rng.integers(1, 9))
-        p = make_params(d_inner, n, rng)
-        u, si = random_inputs(rng, length, d_inner, n)
-        z_seq = selective_scan_seq(u, si, p).data
-        z_par = selective_scan_parallel(u, si, p).data
-        assert np.max(np.abs(z_seq - z_par)) < 1e-10
 
 
 def test_stability_over_long_sequences():
@@ -260,8 +188,7 @@ def test_stability_over_long_sequences():
     a = -np.exp(p.a_log.data)
     x = si.delta.data[:, :, None] * a[None]
     a_bar = np.exp(x)
-    from convmamba.scan import _phi
-    b_bar = _phi(x) * si.delta.data[:, :, None] * si.b.data[:, None, :]
+    b_bar = _zoh(x)[1] * si.delta.data[:, :, None] * si.b.data[:, None, :]
     bound = np.max(np.abs(b_bar * u.data[:, :, None])) / (1.0 - a_bar.max())
     assert np.max(np.abs(z)) <= bound * n * np.max(np.abs(si.c.data)) + 1e-9
 
@@ -293,7 +220,7 @@ def test_scan_gradient_direct_inputs():
     u, si = random_inputs(rng, 5, 3, 4)
 
     def wrt_delta(_):
-        return sum_all(selective_scan_parallel(u, si, p))
+        return sum_all(selective_scan_seq(u, si, p))
 
     for field in (si.delta, si.b, si.c):
         assert finite_diff_check(wrt_delta, field) < 1e-4
@@ -310,11 +237,11 @@ def test_scan_across_chunk_edges_matches_loop(length):
     u, si = random_inputs(rng, length, 6, 4)
     want = naive_scan(u.data, si.delta.data, si.b.data, si.c.data,
                       -np.exp(p.a_log.data), p.d_skip.data)
-    for scan in (selective_scan_seq, selective_scan_parallel):
-        assert np.max(np.abs(scan(u, si, p).data - want)) < 1e-10, scan.__name__
+    assert np.max(np.abs(selective_scan_seq(u, si, p).data - want)) < 1e-10
 
 
-@pytest.mark.parametrize("scan", [selective_scan_seq, selective_scan_parallel])
+# one-entry parametrisation keeps the test id it had beside a second evaluator
+@pytest.mark.parametrize("scan", [selective_scan_seq])
 def test_scan_gradients_across_chunk_edges(scan):
     rng = np.random.default_rng(31)
     d_inner, n, length = 3, 2, 2 * CHUNK + 3
