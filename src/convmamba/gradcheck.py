@@ -12,7 +12,7 @@ from . import tensor as tz
 from .layers import conv_mamba_layer, depthwise_conv1d, mamba_layer
 from .masks import mask_mse_loss
 from .network import ModelConfig, forward, init_params
-from .scan import selective_scan_seq, ssm_parameterize
+from .scan import init_ssm_params, selective_scan_seq, ssm_parameterize
 from .tensor import Tensor, sum_all
 
 
@@ -65,7 +65,6 @@ def run_suite(preset: str = "default") -> list[tuple[str, float]]:
                lambda: sum_all(tz.silu(depthwise_conv1d(xc, kernel, cbias, padding))),
                {"x": xc, "kernel": kernel, "bias": cbias})
 
-    from .scan import init_ssm_params
     ssm = init_ssm_params(4, 3, 2, rng, learnable_skip=True, dtype=np.float64)
     u = _t(rng, 6, 4)
 
@@ -95,11 +94,10 @@ def run_suite(preset: str = "default") -> list[tuple[str, float]]:
 
     y_mag = Tensor(np.abs(rng.standard_normal((6, cfg.bins))) + 0.1, dtype=np.float64)
     target = Tensor(rng.uniform(0.0, 1.0, (6, cfg.bins)), dtype=np.float64)
-    valid = np.ones(6, dtype=bool)
 
     def net_loss():
         pred = forward(y_mag, weights, cfg).values
-        return mask_mse_loss(pred, target, valid)
+        return mask_mse_loss(pred, target)
 
     net_tensors = {"input": y_mag}
     for p in weights.named_parameters():

@@ -66,21 +66,11 @@ def apply_mask(y: Spectrogram, m: Mask) -> Spectrogram:
     return Spectrogram(y.re * v, y.im * v, y.cfg)
 
 
-def mask_mse_loss(pred: Tensor, target: Tensor, frame_valid: np.ndarray) -> Tensor:
-    """Mean squared error over valid frames x all bins; padded frames excluded.
-
-    Differentiable in pred; target and frame_valid are treated as constants.
-    """
+def mask_mse_loss(pred: Tensor, target: Tensor) -> Tensor:
+    """Mean squared error over all frames x bins; target is a constant."""
     if pred.data.shape != target.data.shape:
         raise ValueError("pred/target shape mismatch")
-    valid = np.asarray(frame_valid, dtype=bool)
-    if valid.shape != (pred.data.shape[0],):
-        raise ValueError("frame_valid must have one flag per frame")
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise ValueError("no valid frames")
-    weights = np.zeros(pred.data.shape, dtype=pred.data.dtype)
-    weights[valid] = 1.0
+    if pred.data.size == 0:
+        raise ValueError("loss needs at least one frame")
     diff = tz.sub(pred, Tensor(target.data, dtype=pred.data.dtype))
-    masked = tz.mul(tz.mul(diff, diff), Tensor(weights, dtype=pred.data.dtype))
-    return tz.scale(tz.sum_all(masked), 1.0 / (n_valid * pred.data.shape[1]))
+    return tz.scale(tz.sum_all(tz.mul(diff, diff)), 1.0 / pred.data.size)

@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as tz
 from .layers import LayerWeights, MambaWeights, conv_mamba_layer
 from .masks import Mask, MaskKind
-from .scan import SsmParams, dt_rank_for
+from .scan import SsmParams, a_log_init, dt_bias_init, dt_rank_for
 from .tensor import Parameter, Tensor
 
 PRESETS = {
@@ -183,11 +183,9 @@ def init_params(cfg: ModelConfig, seed: int, dtype=None) -> NetworkWeights:
         elif kind == "ones":
             data = np.ones(shape)
         elif kind == "a_log":
-            data = np.log(np.tile(np.arange(1, shape[1] + 1, dtype=np.float64),
-                                  (shape[0], 1)))
+            data = a_log_init(*shape)
         elif kind == "dt_bias":
-            dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), shape))
-            data = np.log(np.expm1(dt))
+            data = dt_bias_init(shape[0], rng)
         else:
             raise AssertionError(kind)
         t = Tensor(data, requires_grad=trainable, dtype=dtype)

@@ -173,10 +173,7 @@ class TrainItem:
 
 @dataclass
 class Batch:
-    noisy_mag: np.ndarray    # (items, frames_max, bins), zero padded
-    target_mask: np.ndarray
-    frame_valid: np.ndarray  # (items, frames_max) bool
-    metadata: list
+    items: list[TrainItem]   # each at its own frame count
 
 
 def sample_mixture(clean_pool: WavPool, noise_pool: WavPool, cfg: TrainConfig,
@@ -208,39 +205,25 @@ def sample_mixture(clean_pool: WavPool, noise_pool: WavPool, cfg: TrainConfig,
 
 
 def make_batch(items: list[TrainItem]) -> Batch:
-    """Zero-pad every item to the longest frame count and mark valid frames."""
+    """One train step's items; nothing is padded."""
     if not items:
         raise ValueError("empty batch")
-    frames_max = max(item.noisy_mag.shape[0] for item in items)
-    bins = items[0].noisy_mag.shape[1]
-    noisy = np.zeros((len(items), frames_max, bins))
-    target = np.zeros((len(items), frames_max, bins))
-    valid = np.zeros((len(items), frames_max), dtype=bool)
-    for i, item in enumerate(items):
-        n = item.noisy_mag.shape[0]
-        noisy[i, :n] = item.noisy_mag
-        target[i, :n] = item.target
-        valid[i, :n] = True
-    return Batch(noisy, target, valid, [item.meta for item in items])
+    return Batch(list(items))
 
 
-def _item_loss(batch: Batch, i: int, weights: NetworkWeights,
+def _item_loss(item: TrainItem, weights: NetworkWeights,
                cfg: ModelConfig) -> Tensor:
-    """Mask MSE of item i, run at its true length so padding never enters."""
-    n = int(batch.frame_valid[i].sum())
-    pred = forward(Tensor(batch.noisy_mag[i, :n]), weights, cfg).values
-    return mask_mse_loss(pred, Tensor(batch.target_mask[i, :n]),
-                         np.ones(n, dtype=bool))
+    pred = forward(Tensor(item.noisy_mag), weights, cfg).values
+    return mask_mse_loss(pred, Tensor(item.target))
 
 
 def batch_loss(batch: Batch, weights: NetworkWeights, cfg: ModelConfig) -> Tensor:
-    """Mean of per-utterance mask MSE; each item runs at its true length so
-    padding can never influence the loss."""
+    """Mean of per-utterance mask MSE, each item run at its own length."""
     total = None
-    for i in range(batch.noisy_mag.shape[0]):
-        item = _item_loss(batch, i, weights, cfg)
-        total = item if total is None else tz.add(total, item)
-    return tz.scale(total, 1.0 / batch.noisy_mag.shape[0])
+    for item in batch.items:
+        loss = _item_loss(item, weights, cfg)
+        total = loss if total is None else tz.add(total, loss)
+    return tz.scale(total, 1.0 / len(batch.items))
 
 
 class ItemWorkers:
@@ -272,14 +255,14 @@ class ItemWorkers:
         return self._pool.map(run, items)
 
 
-def _item_gradients(weights: NetworkWeights, batch: Batch, i: int,
+def _item_gradients(weights: NetworkWeights, item: TrainItem, n_items: int,
                     cfg: ModelConfig) -> tuple[np.ndarray, list]:
-    """Item i's loss, and the gradients of its 1/items share of the batch
+    """The item's loss, and the gradients of its 1/n_items share of the batch
     loss, taken off weights' tensors (which are left without gradients)."""
     weights.zero_grads()
     with Tape() as tape:
-        loss = _item_loss(batch, i, weights, cfg)
-        share = tz.scale(loss, 1.0 / batch.noisy_mag.shape[0])
+        loss = _item_loss(item, weights, cfg)
+        share = tz.scale(loss, 1.0 / n_items)
     backward(share, tape)
     grads = [p.tensor.grad for p in weights.named_parameters()]
     weights.zero_grads()
@@ -296,11 +279,12 @@ def batch_gradients(batch: Batch, weights: NetworkWeights, cfg: ModelConfig,
     the calling thread. The item gradients are summed in item order either
     way, so the result does not depend on the worker count.
     """
-    items = range(batch.noisy_mag.shape[0])
+    items = batch.items
     if workers is None or len(items) == 1:
-        results = (_item_gradients(weights, batch, i, cfg) for i in items)
+        results = (_item_gradients(weights, item, len(items), cfg) for item in items)
     else:
-        results = workers.map(lambda w, i: _item_gradients(w, batch, i, cfg), items)
+        results = workers.map(
+            lambda w, item: _item_gradients(w, item, len(items), cfg), items)
     params = weights.named_parameters()
     sums: list = [None] * len(params)
     total = None

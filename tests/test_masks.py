@@ -121,36 +121,27 @@ def test_apply_mask_extremes_and_elementwise():
 def test_loss_zero_when_equal():
     rng = np.random.default_rng(3)
     p = rng.uniform(0, 1, (4, 6))
-    loss = mask_mse_loss(tens(p), tens(p.copy()), np.ones(4, bool))
+    loss = mask_mse_loss(tens(p), tens(p.copy()))
     assert loss.item() == 0.0
-
-
-def test_loss_ignores_padded_frames():
-    p = np.zeros((3, 4))
-    t = np.zeros((3, 4))
-    p[2] = 99.0  # junk on an invalid frame
-    valid = np.array([True, True, False])
-    assert mask_mse_loss(tens(p), tens(t), valid).item() == 0.0
 
 
 def test_loss_hand_case():
     pred = tens([[1.0, 0.0], [0.0, 0.0]])
     target = tens([[0.0, 0.0], [0.0, 0.0]])
-    loss = mask_mse_loss(pred, target, np.array([True, True]))
+    loss = mask_mse_loss(pred, target)
     assert abs(loss.item() - 0.25) < 1e-12
 
 
 def test_loss_requires_a_valid_frame():
-    with pytest.raises(ValueError):
-        mask_mse_loss(tens(np.zeros((2, 2))), tens(np.zeros((2, 2))),
-                      np.array([False, False]))
+    with pytest.raises(ValueError, match="at least one frame"):
+        mask_mse_loss(tens(np.zeros((0, 2))), tens(np.zeros((0, 2))))
 
 
 def test_loss_gradient_flows():
     pred = Tensor(np.array([[0.5, 0.25]]), requires_grad=True, dtype=np.float64)
     target = tens([[0.0, 0.0]])
     with Tape() as tape:
-        loss = mask_mse_loss(pred, target, np.array([True]))
+        loss = mask_mse_loss(pred, target)
     backward(loss, tape)
     np.testing.assert_allclose(pred.grad, 2 * pred.data / 2.0, atol=1e-14)
 

@@ -184,10 +184,9 @@ def test_bidirectional_with_skip_gradients():
     rng = np.random.default_rng(2)
     y = Tensor(np.abs(rng.standard_normal((5, 17))) + 0.1, dtype=np.float64)
     target = Tensor(rng.uniform(0, 1, (5, 17)), dtype=np.float64)
-    valid = np.ones(5, bool)
 
     def loss():
-        return mask_mse_loss(forward(y, w, cfg).values, target, valid)
+        return mask_mse_loss(forward(y, w, cfg).values, target)
 
     tensors = [p.tensor for p in w.named_parameters()] + [y]
     assert max(finite_diff_check(lambda _: loss(), t) for t in tensors) < 1e-4

@@ -6,11 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from convmamba.scan import (CHUNK, SelectiveInputs, _zoh, discretize_zoh,
+from convmamba.scan import (CHUNK, SelectiveInputs, SsmParams, discretize_zoh,
                             dt_rank_for, init_ssm_params, selective_scan_seq,
                             softplus_inverse, ssm_parameterize)
 from convmamba.tensor import (Tape, Tensor, backward, finite_diff_check, mul,
-                              sum_all)
+                              scale, sum_all)
 
 from conftest import lti_kernel, naive_scan
 
@@ -73,14 +73,10 @@ def test_zoh_matches_series_oracle():
     assert err.max() < 1e-12
 
 
-def test_zoh_taylor_branch_continuous_at_threshold():
-    for x0 in (1e-4, -1e-4):
-        taylor = 1.0 + x0 / 2.0 + x0 ** 2 / 6.0 + x0 ** 3 / 24.0
-        direct = np.expm1(x0) / x0
-        assert abs(taylor - direct) < 1e-10
-        jump = abs(float(_zoh(np.array(x0 * (1 - 1e-12)))[1])
-                   - float(_zoh(np.array(x0 * (1 + 1e-12)))[1]))
-        assert jump < 1e-10
+@pytest.mark.parametrize("a", [0.0, 0.5, [-1.0, 0.0]])
+def test_zoh_rejects_nonnegative_a(a):
+    with pytest.raises(ValueError, match="negative"):
+        discretize_zoh(a, 1.0, 0.1)
 
 
 def test_parameterize_delta_from_bias():
@@ -186,9 +182,8 @@ def test_stability_over_long_sequences():
     assert np.isfinite(z).all()
     # geometric bound: |h| <= max|b_bar*u| / (1 - max a_bar)
     a = -np.exp(p.a_log.data)
-    x = si.delta.data[:, :, None] * a[None]
-    a_bar = np.exp(x)
-    b_bar = _zoh(x)[1] * si.delta.data[:, :, None] * si.b.data[:, None, :]
+    a_bar, b_bar = discretize_zoh(a[None], si.b.data[:, None, :],
+                                  si.delta.data[:, :, None])
     bound = np.max(np.abs(b_bar * u.data[:, :, None])) / (1.0 - a_bar.max())
     assert np.max(np.abs(z)) <= bound * n * np.max(np.abs(si.c.data)) + 1e-9
 
@@ -256,6 +251,58 @@ def test_scan_gradients_across_chunk_edges(scan):
 
     for field in (u, si.delta, si.b, si.c, p.a_log, p.d_skip):
         assert finite_diff_check(loss, field) < 1e-4, field
+
+
+def test_scan_gradients_at_tiny_steps():
+    # |delta*A| down to 1e-7, where expm1(x)/A nearly cancels to delta
+    rng = np.random.default_rng(41)
+    d_inner, n, length = 3, 4, 2 * CHUNK + 3
+    p = make_params(d_inner, n, rng)
+    p.d_skip.data[:] = rng.uniform(0.1, 1.0, d_inner)
+    p.d_skip.requires_grad = True
+    u, si = random_inputs(rng, length, d_inner, n)
+    si.delta.data[:] = np.exp(rng.uniform(np.log(1e-7), np.log(1e-4), (length, d_inner)))
+    weights = t64(rng.standard_normal((length, d_inner)))
+
+    def loss(_):
+        return sum_all(mul(selective_scan_seq(u, si, p), weights))
+
+    def lifted(_):
+        # the B, C and a_log gradients shrink with delta; scaled up, they sit
+        # above the absolute floor of finite_diff_check's max(1, |fd|)
+        return scale(loss(_), 1e4)
+
+    assert finite_diff_check(loss, si.delta, h=1e-9) < 1e-4  # keeps delta > 0
+    for f, field in ((loss, u), (lifted, si.b), (lifted, si.c), (lifted, p.a_log),
+                     (loss, p.d_skip)):
+        assert finite_diff_check(f, field) < 1e-4, field
+
+
+def test_float32_scan_tracks_float64():
+    rng = np.random.default_rng(43)
+    d_inner, n, length = 8, 16, 197
+    p = make_params(d_inner, n, rng)
+    p.d_skip.data[:] = rng.uniform(0.1, 1.0, d_inner)
+    u, si = random_inputs(rng, length, d_inner, n)
+    weights = rng.standard_normal((length, d_inner))
+    results = []
+    for dtype in (np.float64, np.float32):
+        def cast(t):
+            return Tensor(t.data, requires_grad=True, dtype=dtype)
+        pc = SsmParams(cast(p.a_log), cast(p.d_skip), p.x_proj_weight,
+                       p.dt_proj_weight, p.dt_proj_bias)
+        sic = SelectiveInputs(cast(si.delta), cast(si.b), cast(si.c))
+        uc = cast(u)
+        with Tape() as tape:
+            z = selective_scan_seq(uc, sic, pc)
+            loss = sum_all(mul(z, Tensor(weights, dtype=dtype)))
+        backward(loss, tape)
+        results.append([z.data] + [t.grad for t in (uc, sic.delta, sic.b, sic.c,
+                                                    pc.a_log, pc.d_skip)])
+    for name, want, got in zip(("z", "u", "delta", "b", "c", "a_log", "d_skip"),
+                               *results):
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err < 1e-5, (name, err)
 
 
 def test_taped_scan_keeps_less_than_one_state_slab():

@@ -12,7 +12,7 @@ from convmamba.masks import MaskKind
 from convmamba.network import ModelConfig, init_params, replica
 from convmamba import training
 from convmamba.tensor import Parameter, Tape, Tensor, backward
-from convmamba.training import (AdamState, Batch, ItemWorkers, TrainConfig,
+from convmamba.training import (AdamState, ItemWorkers, TrainConfig,
                                 WavPool, adam_step, batch_gradients, batch_loss,
                                 clip_gradients, list_pool, make_batch,
                                 sample_mixture, train_loop, warmup_lr,
@@ -156,28 +156,6 @@ def test_sample_mixture_silent_pool_errors(tmp_path):
         sample_mixture(clean, noise, TrainConfig(), np.random.default_rng(0))
 
 
-def test_make_batch_padding_flags(corpus):
-    clean, noise = pools(corpus)
-    cfg = TrainConfig()
-    rng = np.random.default_rng(5)
-    a = sample_mixture(clean, noise, cfg, rng)
-    b = sample_mixture(clean, noise, cfg, rng)
-    batch = make_batch([a, b])
-    assert batch.frame_valid.all()  # equal-length corpus
-
-    short = sample_mixture(clean, noise, cfg, rng)
-    short.noisy_mag = short.noisy_mag[:3]
-    short.target = short.target[:3]
-    long = sample_mixture(clean, noise, cfg, rng)
-    long.noisy_mag = long.noisy_mag[:5]
-    long.target = long.target[:5]
-    batch = make_batch([short, long])
-    assert batch.noisy_mag.shape[1] == 5
-    np.testing.assert_array_equal(batch.frame_valid[0], [1, 1, 1, 0, 0])
-    np.testing.assert_array_equal(batch.frame_valid[1], [1, 1, 1, 1, 1])
-    assert np.max(np.abs(batch.noisy_mag[0, 3:])) == 0.0
-
-
 def small_model():
     return ModelConfig(d_model=8, n_layers=1, n_state=4, bins=257)
 
@@ -199,27 +177,8 @@ def test_batched_loss_is_mean_of_items(corpus):
         singles = []
         for item in items:
             pred = forward(Tensor(item.noisy_mag), weights, mcfg).values
-            singles.append(mask_mse_loss(pred, Tensor(item.target),
-                                         np.ones(item.noisy_mag.shape[0], bool)).item())
+            singles.append(mask_mse_loss(pred, Tensor(item.target)).item())
     assert abs(total - float(np.mean(singles))) < 1e-10
-
-
-def test_padding_frames_never_change_loss(corpus):
-    clean, noise = pools(corpus)
-    cfg = TrainConfig()
-    rng = np.random.default_rng(7)
-    items = [sample_mixture(clean, noise, cfg, rng) for _ in range(2)]
-    batch = make_batch(items)
-    mcfg = small_model()
-    weights = init_params(mcfg, 1)
-    base = batch_loss(batch, weights, mcfg).item()
-    frames, bins = batch.noisy_mag.shape[1], batch.noisy_mag.shape[2]
-    padded = Batch(
-        np.concatenate([batch.noisy_mag, np.zeros((2, 4, bins))], axis=1),
-        np.concatenate([batch.target_mask, np.zeros((2, 4, bins))], axis=1),
-        np.concatenate([batch.frame_valid, np.zeros((2, 4), bool)], axis=1),
-        batch.metadata)
-    assert batch_loss(padded, weights, mcfg).item() == base
 
 
 def _weights_digest(weights):
@@ -327,7 +286,7 @@ def test_gradients_bitwise_equal_under_thread_contention(corpus):
 
 def test_worker_failure_raises_and_leaves_weights(corpus):
     batch = _uneven_batch(corpus, 3, 10)
-    batch.noisy_mag[1, 0, 0] = np.inf
+    batch.items[1].noisy_mag[0, 0] = np.inf
     mcfg = small_model()
     weights = init_params(mcfg, 4)
     before = _weights_digest(weights)
@@ -348,7 +307,7 @@ def test_train_loop_worker_failure_stops_before_adam(corpus, tmp_path, monkeypat
 
     def poisoned(items):
         batch = real_make_batch(items)
-        batch.noisy_mag[1, 0, 0] = np.nan
+        batch.items[1].noisy_mag[0, 0] = np.nan
         return batch
 
     def counted(*args, **kwargs):
