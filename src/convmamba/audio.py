@@ -181,8 +181,8 @@ def stft(wav: Waveform, cfg: StftConfig | None = None) -> Spectrogram:
     frames = num_frames(x.size, cfg)
     padded = np.zeros((frames - 1) * cfg.hop + cfg.win_length)
     padded[:x.size] = x
-    idx = np.arange(frames)[:, None] * cfg.hop + np.arange(cfg.win_length)[None, :]
-    windowed = padded[idx] * cfg.window_values()
+    framed = np.lib.stride_tricks.sliding_window_view(padded, cfg.win_length)[::cfg.hop]
+    windowed = framed * cfg.window_values()
     spec = np.fft.rfft(windowed, n=cfg.fft_size, axis=1)
     return Spectrogram(spec.real, spec.imag, cfg)
 
@@ -200,15 +200,33 @@ def istft(spec: Spectrogram, cfg: StftConfig | None = None,
     win = cfg.window_values()
     frames_td = np.fft.irfft(spec.re + 1j * spec.im, n=cfg.fft_size, axis=1)
     frames_td = frames_td[:, :cfg.win_length] * win
-    out = np.zeros(total)
-    wsum = np.zeros(total)
-    idx = np.arange(spec.frames)[:, None] * cfg.hop + np.arange(cfg.win_length)[None, :]
-    np.add.at(out, idx, frames_td)
-    np.add.at(wsum, idx, np.broadcast_to(win ** 2, idx.shape))
+    out = _overlap_add(frames_td, cfg.hop)
+    wsum = _overlap_add(np.broadcast_to(win ** 2, frames_td.shape), cfg.hop)
     covered = wsum > 1e-10
     out[covered] /= wsum[covered]
     out[~covered] = 0.0
     return Waveform(out[:out_len])
+
+
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum (n, win) frames placed hop samples apart into one signal of
+    (n - 1) * hop + win samples.
+
+    Each frame is zero-padded to k = ceil(win / hop) blocks of hop samples,
+    and block j of every frame is added as one slab, shifted j blocks. Going
+    from j = k - 1 down to 0 adds each sample's contributions in increasing
+    frame order onto a zero start, as a per-sample loop would. The padding
+    adds +0.0, which changes no sum: one that starts at +0.0 is never -0.0.
+    """
+    n, win = frames.shape
+    k = -(-win // hop)
+    blocks = np.zeros((n, k * hop))
+    blocks[:, :win] = frames
+    blocks = blocks.reshape(n, k, hop)
+    out = np.zeros((n + k - 1, hop))
+    for j in range(k - 1, -1, -1):
+        out[j:j + n] += blocks[:, j]
+    return out.reshape(-1)[:(n - 1) * hop + win]
 
 
 def magnitude(spec: Spectrogram) -> Tensor:

@@ -74,6 +74,12 @@ class NetworkWeights:
     out_weight: Tensor
     out_bias: Tensor
     _named: list[Parameter] = field(default_factory=list, repr=False)
+    # every trainable value, in canonical order; each parameter's data is a
+    # view into it
+    flat: np.ndarray | None = field(default=None, repr=False)
+    # the summed batch gradient, laid out like flat (see grad_views)
+    flat_grad: np.ndarray | None = field(default=None, repr=False)
+    _grad_views: list[np.ndarray] = field(default_factory=list, repr=False)
 
     def named_parameters(self) -> list[Parameter]:
         return self._named
@@ -81,6 +87,30 @@ class NetworkWeights:
     def zero_grads(self) -> None:
         for p in self._named:
             p.tensor.zero_grad()
+
+    def grad_views(self) -> list[np.ndarray]:
+        """One view per parameter into flat_grad; both are made on the first
+        call and reused after it."""
+        if self.flat_grad is None:
+            self.flat_grad = np.empty_like(self.flat)
+            self._grad_views = _views(self.flat_grad, self._named)
+        return self._grad_views
+
+
+def _views(flat: np.ndarray, params: list[Parameter]) -> list[np.ndarray]:
+    """Consecutive views into flat, shaped like the parameters' data."""
+    ends = np.cumsum([p.tensor.data.size for p in params])
+    return [part.reshape(p.tensor.data.shape)
+            for part, p in zip(np.split(flat, ends[:-1]), params)]
+
+
+def _flatten(weights: NetworkWeights) -> NetworkWeights:
+    """Move the trainable values into one new flat array."""
+    named = weights.named_parameters()
+    weights.flat = np.concatenate([p.tensor.data.ravel() for p in named])
+    for p, view in zip(named, _views(weights.flat, named)):
+        p.tensor.data = view
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +230,18 @@ def init_params(cfg: ModelConfig, seed: int, dtype=None) -> NetworkWeights:
         if p.name in seen:
             raise AssertionError(f"duplicate parameter name {p.name}")
         seen.add(p.name)
-    return weights
+    return _flatten(weights)
 
 
 def from_arrays(cfg: ModelConfig, arrays: dict[str, np.ndarray],
                 dtype=None) -> NetworkWeights:
     """Rebuild a weight tree from named arrays (checkpoint restore)."""
-    dtype = dtype or tz.default_dtype()
+    return _flatten(_wrap(cfg, arrays, dtype or tz.default_dtype()))
+
+
+def _wrap(cfg: ModelConfig, arrays: dict[str, np.ndarray], dtype) -> NetworkWeights:
+    """A weight tree whose parameters wrap the named arrays, with no copy
+    where an array already has the dtype."""
     named: list[Parameter] = []
 
     def alloc(name, shape, init, trainable=True):
@@ -234,10 +269,11 @@ def replica(weights: NetworkWeights, cfg: ModelConfig) -> NetworkWeights:
     """A weight tree over the same parameter arrays, not copies, whose tensors
     keep their own gradients: one thread's tapes accumulate into a replica
     while another's accumulate into the original, and an in-place update of
-    either's arrays shows in both."""
-    named = weights.named_parameters()
-    return from_arrays(cfg, {p.name: p.tensor.data for p in named},
-                       dtype=named[0].tensor.dtype)
+    either's arrays shows in both. It has no flat_grad of its own."""
+    rep = _wrap(cfg, {p.name: p.tensor.data for p in weights.named_parameters()},
+                weights.flat.dtype)
+    rep.flat = weights.flat
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import math
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .audio import (DegenerateSignalError, StftConfig, Waveform, load_wav,
 from .checkpoint import save_checkpoint
 from .masks import MaskKind, irm, mask_mse_loss, psm
 from .network import ModelConfig, NetworkWeights, forward, init_params, replica
-from .tensor import Parameter, Tape, Tensor, backward
+from .tensor import Tape, Tensor, backward
 
 
 @dataclass
@@ -88,43 +88,62 @@ def lr_for_step(step: int, d_model: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None   # moments, laid out like the flat parameters
+    v: np.ndarray | None = None
     step: int = 0
 
 
-def adam_step(params: list[Parameter], state: AdamState, lr: float,
+# elements per Adam pass: the six block-sized arrays a pass touches fit a
+# 2 MB L2 at float32; whole-array passes over a 1.9M-parameter model would
+# stream every operand from memory and take about twice as long
+ADAM_BLOCK = 1 << 16
+
+
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
               cfg: TrainConfig) -> None:
-    """Bias-corrected Adam update in place; missing grads count as zero."""
+    """Bias-corrected Adam update of a flat parameter array in place, one
+    cache-sized block at a time."""
+    if grad.shape != params.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match"
+                         f" parameters {params.shape}")
+    if state.m is None:
+        state.m = np.zeros_like(params)
+        state.v = np.zeros_like(params)
     state.step += 1
     b1 = cfg.beta1
     b2 = cfg.beta2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    for p in params:
-        data = p.tensor.data
-        g = p.tensor.grad
-        if g is None:
-            g = np.zeros_like(data)
-        if g.shape != data.shape:
-            raise ValueError(f"gradient shape mismatch for {p.name}")
-        m = state.m.setdefault(p.name, np.zeros_like(data))
-        v = state.v.setdefault(p.name, np.zeros_like(data))
+    tmp_block = np.empty(min(params.size, ADAM_BLOCK), dtype=params.dtype)
+    update_block = np.empty_like(tmp_block)
+    for start in range(0, params.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        p, g, m, v = params[block], grad[block], state.m[block], state.v[block]
+        tmp, update = tmp_block[:p.size], update_block[:p.size]
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+        # p -= lr (m / c1) / (sqrt(v / c2) + eps), in place, each product and
+        # quotient taken in the order these expressions give
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=tmp)
+        m += tmp
         v *= b2
-        v += (1.0 - b2) * g * g
-        data -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += cfg.adam_eps
+        np.divide(m, c1, out=update)
+        update *= lr
+        update /= tmp
+        p -= update
 
 
-def clip_gradients(params: list[Parameter], lo: float = -1.0,
-                   hi: float = 1.0) -> list[Parameter]:
+def clip_gradients(grad: np.ndarray, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
+    """Clip a flat gradient to [lo, hi] in place."""
     if lo >= hi:
         raise ValueError("clip range must be ordered")
-    for p in params:
-        if p.tensor.grad is not None:
-            np.clip(p.tensor.grad, lo, hi, out=p.tensor.grad)
-    return params
+    return np.clip(grad, lo, hi, out=grad)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +290,8 @@ def _item_gradients(weights: NetworkWeights, item: TrainItem, n_items: int,
 
 def batch_gradients(batch: Batch, weights: NetworkWeights, cfg: ModelConfig,
                     workers: ItemWorkers | None = None) -> float:
-    """Set each parameter's .grad to the gradient of batch_loss; return that
-    loss.
+    """Sum the gradient of batch_loss into weights.flat_grad, make each
+    parameter's .grad its view into it, and return that loss.
 
     Each item runs forward and backward on its own tape: on the workers when
     given and the batch has more than one item, else one after another on
@@ -285,18 +304,18 @@ def batch_gradients(batch: Batch, weights: NetworkWeights, cfg: ModelConfig,
     else:
         results = workers.map(
             lambda w, item: _item_gradients(w, item, len(items), cfg), items)
-    params = weights.named_parameters()
-    sums: list = [None] * len(params)
+    views = weights.grad_views()
     total = None
     for loss, grads in results:
-        total = loss if total is None else total + loss
-        for k, g in enumerate(grads):
-            if sums[k] is None:
-                sums[k] = g
+        first = total is None
+        total = loss if first else total + loss
+        for view, g in zip(views, grads):
+            if first:
+                view[...] = 0.0 if g is None else g
             elif g is not None:
-                sums[k] += g
-    for p, g in zip(params, sums):
-        p.tensor.grad = g
+                view += g
+    for p, view in zip(weights.named_parameters(), views):
+        p.tensor.grad = view
     # the same additions and scaling as batch_loss's forward pass
     return float(total * total.dtype.type(1.0 / len(items)))
 
@@ -335,7 +354,6 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     weights = init_params(model_cfg, train_cfg.seed)
-    params = weights.named_parameters()
     adam = AdamState()
     rng = np.random.default_rng(train_cfg.seed)
     val_rng = np.random.default_rng(train_cfg.seed + 1)
@@ -365,10 +383,10 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
                          for ci in chunk]
                 batch = make_batch(items)
                 last_loss = batch_gradients(batch, weights, model_cfg, workers)
-                clip_gradients(params, train_cfg.clip_lo, train_cfg.clip_hi)
+                clip_gradients(weights.flat_grad, train_cfg.clip_lo, train_cfg.clip_hi)
                 step += 1
                 lr = lr_for_step(step, model_cfg.d_model, train_cfg)
-                adam_step(params, adam, lr, train_cfg)
+                adam_step(weights.flat, weights.flat_grad, adam, lr, train_cfg)
                 log.write(f"{step},{epoch},train,{last_loss:.10e},{lr:.10e}\n")
                 if train_cfg.max_steps and step >= train_cfg.max_steps:
                     stop = True

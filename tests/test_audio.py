@@ -116,6 +116,46 @@ def test_istft_round_trip_exact_on_covered_samples():
         assert rel < 1e-10
 
 
+# the index-gather framing and np.add.at overlap-add that stft and istft
+# replaced, kept as oracles: same values bit for bit
+
+def _gather_stft(x, cfg):
+    frames = num_frames(x.size, cfg)
+    padded = np.zeros((frames - 1) * cfg.hop + cfg.win_length)
+    padded[:x.size] = x
+    idx = np.arange(frames)[:, None] * cfg.hop + np.arange(cfg.win_length)[None, :]
+    spec = np.fft.rfft(padded[idx] * cfg.window_values(), n=cfg.fft_size, axis=1)
+    return spec.real, spec.imag
+
+
+def _add_at_istft(spec, cfg):
+    win = cfg.window_values()
+    frames_td = np.fft.irfft(spec.re + 1j * spec.im, n=cfg.fft_size, axis=1)
+    frames_td = frames_td[:, :cfg.win_length] * win
+    total = (spec.frames - 1) * cfg.hop + cfg.win_length
+    out = np.zeros(total)
+    wsum = np.zeros(total)
+    idx = np.arange(spec.frames)[:, None] * cfg.hop + np.arange(cfg.win_length)[None, :]
+    np.add.at(out, idx, frames_td)
+    np.add.at(wsum, idx, np.broadcast_to(win ** 2, idx.shape))
+    covered = wsum > 1e-10
+    out[covered] /= wsum[covered]
+    out[~covered] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("win,hop", [(512, 256), (512, 128), (400, 160)])
+def test_stft_and_istft_match_gather_and_add_at_oracles_bitwise(win, hop):
+    rng = np.random.default_rng(win + hop)
+    cfg = StftConfig(win_length=win, hop=hop, fft_size=512)
+    for n in (1, win - 1, win, win + 1, 7 * hop + 3, 16000):
+        x = rng.uniform(-0.9, 0.9, n)
+        spec = stft(Waveform(x), cfg)
+        re, im = _gather_stft(x, cfg)
+        assert spec.re.tobytes() == re.tobytes() and spec.im.tobytes() == im.tobytes()
+        assert istft(spec).samples.tobytes() == _add_at_istft(spec, cfg).tobytes()
+
+
 def test_istft_zero_spectrogram():
     spec = stft(Waveform(np.zeros(2048)))
     out = istft(spec, out_len=2048)

@@ -242,6 +242,46 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     np.testing.assert_array_equal(m1, m2)
 
 
+def _assert_flat_store(w, cfg, dtype):
+    """Every trainable parameter is a view into w.flat, in parameter_shapes
+    order, and together they cover it exactly."""
+    flat = w.flat
+    assert flat.ndim == 1 and flat.dtype == dtype and flat.flags.c_contiguous
+    named = w.named_parameters()
+    assert [(p.name, p.tensor.data.shape) for p in named] == parameter_shapes(cfg)
+    start = 0
+    for p in named:
+        data = p.tensor.data
+        assert data.base is flat, p.name
+        offset = (data.__array_interface__["data"][0]
+                  - flat.__array_interface__["data"][0]) // flat.itemsize
+        assert offset == start and data.flags.c_contiguous, p.name
+        start += data.size
+    assert start == flat.size == count_params(cfg)
+
+
+def test_parameters_are_views_into_one_flat_buffer():
+    for cfg in (tiny_cfg(), tiny_cfg(bidirectional=True, conv_refine=False)):
+        for dtype in (np.float32, np.float64):
+            w = init_params(cfg, 3, dtype=dtype)
+            _assert_flat_store(w, cfg, dtype)
+            assert w.flat_grad is None
+            # non-trainable tensors stay outside the buffer
+            assert not np.shares_memory(w.layers[0].mamba.ssm.d_skip.data, w.flat)
+
+
+def test_checkpoint_round_trip_fills_flat_buffer(tmp_path):
+    cfg = tiny_cfg(learnable_skip=True)
+    w = init_params(cfg, 12)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, w, cfg)
+    for dtype in (np.float32, np.float64):
+        w2, cfg2 = load_checkpoint(path, dtype=dtype)
+        _assert_flat_store(w2, cfg2, dtype)
+        # float32 values survive the round trip exactly in either dtype
+        np.testing.assert_array_equal(w2.flat, w.flat.astype(dtype))
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 64)

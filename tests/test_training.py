@@ -12,7 +12,7 @@ from convmamba.masks import MaskKind
 from convmamba.network import ModelConfig, init_params, replica
 from convmamba import training
 from convmamba.tensor import Parameter, Tape, Tensor, backward
-from convmamba.training import (AdamState, ItemWorkers, TrainConfig,
+from convmamba.training import (ADAM_BLOCK, AdamState, ItemWorkers, TrainConfig,
                                 WavPool, adam_step, batch_gradients, batch_loss,
                                 clip_gradients, list_pool, make_batch,
                                 sample_mixture, train_loop, warmup_lr,
@@ -54,7 +54,7 @@ def test_adam_first_step_is_signed_lr():
     p = _param([1.0])
     p.tensor.grad = np.array([2.0])  # d(x^2)/dx at x=1
     state = AdamState()
-    adam_step([p], state, 0.1, TrainConfig())
+    adam_step(p.tensor.data, p.tensor.grad, state, 0.1, TrainConfig())
     assert p.tensor.data[0] == pytest.approx(0.9, abs=1e-8)
     assert state.step == 1
 
@@ -62,10 +62,10 @@ def test_adam_first_step_is_signed_lr():
 def test_adam_zero_gradient_is_noop():
     p = _param([0.7])
     p.tensor.grad = np.zeros(1)
-    adam_step([p], AdamState(), 0.1, TrainConfig())
+    adam_step(p.tensor.data, p.tensor.grad, AdamState(), 0.1, TrainConfig())
     assert p.tensor.data[0] == 0.7
-    q = _param([0.7])  # missing grad counts as zero
-    adam_step([q], AdamState(), 0.1, TrainConfig())
+    q = _param([0.7])  # batch_gradients fills a missing gradient with zeros
+    adam_step(q.tensor.data, np.zeros(1), AdamState(), 0.1, TrainConfig())
     assert q.tensor.data[0] == 0.7
 
 
@@ -75,20 +75,79 @@ def test_adam_converges_on_quadratic():
     cfg = TrainConfig()
     for _ in range(200):
         p.tensor.grad = 2.0 * p.tensor.data
-        adam_step([p], state, 0.1, cfg)
+        adam_step(p.tensor.data, p.tensor.grad, state, 0.1, cfg)
     assert abs(p.tensor.data[0]) < 1e-2
+
+
+def _reference_adam(params, state, lr, cfg):
+    """Adam one parameter at a time, as the optimizer ran before its state
+    became flat; a missing gradient counts as zero."""
+    state["step"] += 1
+    c1 = 1.0 - cfg.beta1 ** state["step"]
+    c2 = 1.0 - cfg.beta2 ** state["step"]
+    for p in params:
+        data = p.tensor.data
+        g = p.tensor.grad
+        if g is None:
+            g = np.zeros_like(data)
+        m = state["m"].setdefault(p.name, np.zeros_like(data))
+        v = state["v"].setdefault(p.name, np.zeros_like(data))
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        data -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_adam_matches_per_parameter_reference_bitwise(dtype):
+    rng = np.random.default_rng(17)
+    # (300, 250) spans more than one ADAM_BLOCK and ends in a partial block
+    shapes = [(3,), (4, 5), (2, 3, 2), (1,), (7, 1), (300, 250), (33,)]
+    assert ADAM_BLOCK < 300 * 250 < 2 * ADAM_BLOCK
+    # values near the size of one update, so a rounding change in it shows
+    ref = [Parameter(f"p{i}", Tensor(1e-3 * rng.standard_normal(s), dtype=dtype))
+           for i, s in enumerate(shapes)]
+    flat = np.concatenate([p.tensor.data.ravel() for p in ref])
+    cfg = TrainConfig()
+    ref_state = dict(m={}, v={}, step=0)
+    state = AdamState()
+    missing = 2
+    for step in range(5):
+        grads = [None if i == missing else
+                 (rng.standard_normal(s) * 10.0 ** rng.integers(-6, 2)).astype(dtype)
+                 for i, s in enumerate(shapes)]
+        for p, g in zip(ref, grads):
+            p.tensor.grad = g
+        # batch_gradients fills a missing gradient with zeros
+        flat_grad = np.concatenate([np.zeros(s, dtype).ravel() if g is None
+                                    else g.ravel() for s, g in zip(shapes, grads)])
+        lr = 1e-3 * (step + 1)
+        _reference_adam(ref, ref_state, lr, cfg)
+        adam_step(flat, flat_grad, state, lr, cfg)
+        assert state.step == ref_state["step"] == step + 1
+        for name, got in (("params", flat), ("m", state.m), ("v", state.v)):
+            want = (np.concatenate([p.tensor.data.ravel() for p in ref]) if name == "params"
+                    else np.concatenate([ref_state[name][p.name].ravel() for p in ref]))
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes(), (name, step)
+
+
+def test_adam_rejects_mismatched_gradient():
+    with pytest.raises(ValueError, match="does not match"):
+        adam_step(np.zeros(4), np.zeros(3), AdamState(), 0.1, TrainConfig())
 
 
 def test_clip_gradients():
     p = _param([1.0, 1.0, 1.0])
     p.tensor.grad = np.array([5.0, -3.0, 0.25])
-    clip_gradients([p], -1.0, 1.0)
+    clip_gradients(p.tensor.grad, -1.0, 1.0)
     np.testing.assert_array_equal(p.tensor.grad, [1.0, -1.0, 0.25])
     before = p.tensor.grad.copy()
-    clip_gradients([p], -1.0, 1.0)  # idempotent
+    clip_gradients(p.tensor.grad, -1.0, 1.0)  # idempotent
     np.testing.assert_array_equal(p.tensor.grad, before)
     with pytest.raises(ValueError):
-        clip_gradients([p], 1.0, -1.0)
+        clip_gradients(p.tensor.grad, 1.0, -1.0)
 
 
 def pools(corpus):
@@ -349,11 +408,98 @@ def test_replica_shares_arrays_and_sees_adam_step():
     pairs = list(zip(weights.named_parameters(), rep.named_parameters()))
     assert all(p.name == q.name and p.tensor.data is q.tensor.data
                and p.tensor is not q.tensor for p, q in pairs)
-    for p, _ in pairs:
-        p.tensor.grad = np.ones_like(p.tensor.data)
-    adam_step(weights.named_parameters(), AdamState(), 1e-2, TrainConfig())
+    assert rep.flat is weights.flat and rep.flat_grad is None
+    adam_step(weights.flat, np.ones_like(weights.flat), AdamState(), 1e-2, TrainConfig())
     for p, q in pairs:
         np.testing.assert_array_equal(q.tensor.data, p.tensor.data)
         assert q.tensor.grad is None
     assert _weights_digest(rep) == _weights_digest(weights) != _weights_digest(
         init_params(mcfg, 6))
+
+
+def test_batch_gradients_are_views_into_one_flat_gradient(corpus):
+    batch = _uneven_batch(corpus, 3, 12)
+    mcfg = small_model()
+    weights = init_params(mcfg, 7)
+    with ItemWorkers(weights, mcfg, 2) as workers:
+        batch_gradients(batch, weights, mcfg, workers)
+        flat_grad = weights.flat_grad
+        assert flat_grad.shape == weights.flat.shape
+        assert flat_grad.dtype == weights.flat.dtype
+        start = 0
+        for p in weights.named_parameters():
+            g = p.tensor.grad
+            assert g.base is flat_grad and g.shape == p.tensor.data.shape, p.name
+            np.testing.assert_array_equal(g.ravel(), flat_grad[start:start + g.size])
+            start += g.size
+        assert start == flat_grad.size
+        first = flat_grad.copy()
+        batch_gradients(batch, weights, mcfg, workers)  # the buffer is reused
+        assert weights.flat_grad is flat_grad
+        np.testing.assert_array_equal(flat_grad, first)
+        clip_gradients(flat_grad, -1e-3, 1e-3)
+        assert all(np.abs(p.tensor.grad).max() <= 1e-3
+                   for p in weights.named_parameters())
+
+
+def test_batch_gradients_count_a_missing_gradient_as_zero(corpus, monkeypatch):
+    batch = _uneven_batch(corpus, 2, 13)
+    mcfg = small_model()
+    weights = init_params(mcfg, 8)
+    real = training._item_gradients
+    second_item = real(weights, batch.items[1], 2, mcfg)[1]
+
+    def dropped(w, item, n_items, cfg):
+        loss, grads = real(w, item, n_items, cfg)
+        grads[0] = None                  # no item has a gradient for param 0
+        if item is batch.items[0]:
+            grads[1] = None              # only the second item has one for param 1
+        return loss, grads
+
+    monkeypatch.setattr(training, "_item_gradients", dropped)
+    batch_gradients(batch, weights, mcfg)
+    params = weights.named_parameters()
+    assert not params[0].tensor.grad.any()
+    np.testing.assert_array_equal(params[1].tensor.grad, second_item[1])
+
+
+_TRAIN_THEN_ENHANCE = """
+import sys
+from pathlib import Path
+from convmamba import training
+from convmamba.audio import load_wav
+from convmamba.checkpoint import load_checkpoint
+from convmamba.network import ModelConfig
+from convmamba.pipeline import enhance_waveform
+from convmamba.training import TrainConfig, WavPool, list_pool, train_loop
+
+clean_dir, noise_dir, out = (Path(a) for a in sys.argv[1:])
+training._usable_cores = lambda: 2
+clean, noise = WavPool(list_pool(clean_dir)), WavPool(list_pool(noise_dir))
+res = train_loop(ModelConfig(d_model=8, n_layers=1, n_state=4),
+                 TrainConfig(batch_size=3, epochs=1, max_steps=2, val_items=1,
+                             checkpoint_every=0, seed=3),
+                 clean, noise, out)
+assert res.steps == 2, res.steps
+weights, cfg = load_checkpoint(res.final_checkpoint)
+enhance_waveform(load_wav(clean.paths[0]), weights, cfg)
+print("done")
+"""
+
+
+def test_train_then_enhance_process_exits(tmp_path):
+    # worker threads that outlive train_loop would keep the interpreter
+    # from exiting
+    import os
+    import subprocess
+    from pathlib import Path
+    import convmamba
+    from conftest import write_corpus
+    clean_dir, noise_dir = write_corpus(tmp_path / "corpus", n_clean=6)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(convmamba.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", _TRAIN_THEN_ENHANCE, str(clean_dir),
+                           str(noise_dir), str(tmp_path / "run")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "done"
