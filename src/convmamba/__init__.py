@@ -12,7 +12,7 @@ from .scan import (SelectiveInputs, SsmParams, discretize_zoh,
                    selective_scan_seq, ssm_parameterize)
 from .tensor import (Parameter, Tape, Tensor, backward, finite_diff_check,
                      set_default_dtype)
-from .training import (AdamState, Batch, TrainConfig, WavPool, adam_step,
+from .training import (AdamState, TrainConfig, WavPool, adam_step,
                        clip_gradients, make_batch, sample_mixture, train_loop,
                        warmup_lr)
 

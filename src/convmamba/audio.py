@@ -49,13 +49,10 @@ class StftConfig:
     win_length: int = 512
     hop: int = 256
     fft_size: int = 512
-    window: str = "sqrt_hann"
 
     def __post_init__(self):
         if not (1 <= self.hop <= self.win_length <= self.fft_size):
             raise AudioError("require hop <= win_length <= fft_size")
-        if self.window != "sqrt_hann":
-            raise AudioError(f"unsupported window {self.window!r}")
 
     @property
     def bins(self) -> int:

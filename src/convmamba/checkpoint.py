@@ -12,7 +12,9 @@ from dataclasses import fields
 
 import numpy as np
 
-from .network import ModelConfig, NetworkWeights, from_arrays, parameter_shapes
+from . import tensor as tz
+from .network import (ModelConfig, NetworkWeights, build_weights, new_flat,
+                      parameter_shapes)
 
 MAGIC = b"MDCK"
 VERSION = 1
@@ -100,19 +102,19 @@ def load_checkpoint(path, dtype=None) -> tuple[NetworkWeights, ModelConfig]:
     if n_params != len(expected):
         raise CheckpointError(
             f"{path}: {n_params} parameters stored, config implies {len(expected)}")
-    arrays: dict[str, np.ndarray] = {}
-    for want_name, want_shape in expected:
+    flat, views = new_flat([shape for _, shape in expected], dtype or tz.default_dtype())
+    for (want_name, want_shape), view in zip(expected, views):
         (nlen,) = r.unpack("<H")
         name = r.take(nlen).decode()
         (rank,) = r.unpack("<B")
         shape = r.unpack(f"<{rank}I")
-        count = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
         if name != want_name or tuple(shape) != tuple(want_shape):
             raise CheckpointError(
                 f"{path}: parameter {name} with shape {tuple(shape)} does not match"
                 f" config expectation {want_name} {tuple(want_shape)}")
-        arrays[name] = data  # read-only; from_arrays copies it into the flat buffer
+        view[...] = np.frombuffer(r.take(4 * view.size), dtype="<f4").reshape(shape)
+        if not np.isfinite(view).all():
+            raise CheckpointError(f"{path}: parameter {name} has non-finite values")
     if r.pos != len(r.raw):
         raise CheckpointError(f"{path}: {len(r.raw) - r.pos} trailing bytes")
-    return from_arrays(cfg, arrays, dtype=dtype), cfg
+    return build_weights(cfg, flat, views), cfg

@@ -55,8 +55,7 @@ def _build_parser() -> _Parser:
                    help="limit the number of clean files")
     v.add_argument("--out", default=None, help="write the CSV here")
 
-    g = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    g.add_argument("--preset", default="default")
+    sub.add_parser("gradcheck", help="finite-difference gradient audit")
     return p
 
 
@@ -119,7 +118,7 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     from .gradcheck import run_suite
-    results = run_suite(args.preset)
+    results = run_suite()
     failures = []
     for name, err in results:
         status = "ok" if err < GRAD_TOLERANCE else "FAIL"

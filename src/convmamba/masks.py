@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from . import tensor as tz
-from .audio import Spectrogram
+from .audio import Spectrogram, StftConfig, Waveform, magnitude, stft
 from .tensor import Tensor
 
 
@@ -56,6 +56,19 @@ def psm(s: Spectrogram, y: Spectrogram, eps: float = 1e-8) -> Mask:
     dphi = np.arctan2(s.im, s.re) - np.arctan2(y.im, y.re)
     raw = s_mag / (y_mag + eps) * np.cos(dphi)
     return Mask(Tensor(np.clip(raw, 0.0, 1.0), dtype=s.re.dtype), MaskKind.PSM)
+
+
+def mask_target(clean: Waveform, noisy: Waveform, noise: Waveform, kind: MaskKind,
+                cfg: StftConfig) -> tuple[Spectrogram, np.ndarray]:
+    """The noisy spectrogram of a mixture and its ideal mask of the given
+    kind, from the clean, noisy and noise signals."""
+    spec_y = stft(noisy, cfg)
+    spec_s = stft(clean, cfg)
+    if kind is MaskKind.IRM:
+        target = irm(magnitude(spec_s), magnitude(stft(noise, cfg)))
+    else:
+        target = psm(spec_s, spec_y)
+    return spec_y, target.values.data
 
 
 def apply_mask(y: Spectrogram, m: Mask) -> Spectrogram:

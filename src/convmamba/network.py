@@ -8,6 +8,7 @@ convolution with sigmoid produces the estimated mask.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,33 +93,27 @@ class NetworkWeights:
         """One view per parameter into flat_grad; both are made on the first
         call and reused after it."""
         if self.flat_grad is None:
-            self.flat_grad = np.empty_like(self.flat)
-            self._grad_views = _views(self.flat_grad, self._named)
+            self.flat_grad, self._grad_views = new_flat(
+                [p.tensor.data.shape for p in self._named], self.flat.dtype)
         return self._grad_views
 
 
-def _views(flat: np.ndarray, params: list[Parameter]) -> list[np.ndarray]:
-    """Consecutive views into flat, shaped like the parameters' data."""
-    ends = np.cumsum([p.tensor.data.size for p in params])
-    return [part.reshape(p.tensor.data.shape)
-            for part, p in zip(np.split(flat, ends[:-1]), params)]
-
-
-def _flatten(weights: NetworkWeights) -> NetworkWeights:
-    """Move the trainable values into one new flat array."""
-    named = weights.named_parameters()
-    weights.flat = np.concatenate([p.tensor.data.ravel() for p in named])
-    for p, view in zip(named, _views(weights.flat, named)):
-        p.tensor.data = view
-    return weights
+def new_flat(shapes, dtype) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A new, unfilled flat array and its consecutive views, one of each
+    shape."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    flat = np.empty(int(ends[-1]), dtype=dtype)
+    return flat, [part.reshape(shape)
+                  for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
 
 
 # ---------------------------------------------------------------------------
-# structural walk shared by init, counting, and checkpoint validation
+# structural walk shared by init, building, and counting
 # ---------------------------------------------------------------------------
 
 def _walk(cfg: ModelConfig, alloc) -> NetworkWeights:
-    """Build the weight tree; alloc(name, shape, init) -> Tensor.
+    """Build the weight tree from what alloc(name, shape, init, trainable)
+    returns for each tensor.
 
     init is one of ("uniform", fan_in), ("zeros",), ("ones",), ("a_log",),
     ("dt_bias",). Call order is the canonical parameter order.
@@ -187,7 +182,7 @@ def parameter_shapes(cfg: ModelConfig) -> list[tuple[str, tuple]]:
     def alloc(name, shape, init, trainable=True):
         if trainable:
             shapes.append((name, tuple(shape)))
-        return Tensor(np.zeros(1))  # structure is discarded
+        # the tree is discarded
 
     _walk(cfg, alloc)
     return shapes
@@ -197,14 +192,42 @@ def count_params(cfg: ModelConfig) -> int:
     return sum(int(np.prod(s)) for _, s in parameter_shapes(cfg))
 
 
-def init_params(cfg: ModelConfig, seed: int, dtype=None) -> NetworkWeights:
-    """Deterministic initialization: fan-in uniform projections, unit layer
-    norms, log-spaced state decays, log-uniform softplus step sizes."""
-    dtype = dtype or tz.default_dtype()
-    rng = np.random.default_rng(seed)
+def build_weights(cfg: ModelConfig, flat: np.ndarray,
+                  views: list[np.ndarray]) -> NetworkWeights:
+    """The weight tree over flat whose trainable tensors wrap views, which
+    are consecutive views of flat in parameter_shapes order; a non-trainable
+    d_skip holds zeros outside flat."""
+    remaining = iter(views)
     named: list[Parameter] = []
 
     def alloc(name, shape, init, trainable=True):
+        if not trainable:
+            return Tensor(np.zeros(shape), dtype=flat.dtype)
+        t = Tensor._checked(next(remaining), requires_grad=True)
+        named.append(Parameter(name, t))
+        return t
+
+    weights = _walk(cfg, alloc)
+    weights._named = named
+    weights.flat = flat
+    return weights
+
+
+def init_params(cfg: ModelConfig, seed: int, dtype=None) -> NetworkWeights:
+    """Deterministic initialization: fan-in uniform projections, unit layer
+    norms, log-spaced state decays, log-uniform softplus step sizes."""
+    flat, views = new_flat([shape for _, shape in parameter_shapes(cfg)],
+                           dtype or tz.default_dtype())
+    remaining = iter(views)
+    rng = np.random.default_rng(seed)
+    names: set[str] = set()
+
+    def draw(name, shape, init, trainable=True):
+        if not trainable:
+            return
+        if name in names:
+            raise AssertionError(f"duplicate parameter name {name}")
+        names.add(name)
         kind = init[0]
         if kind == "uniform":
             data = rng.uniform(-1.0, 1.0, shape) / np.sqrt(init[1])
@@ -218,51 +241,10 @@ def init_params(cfg: ModelConfig, seed: int, dtype=None) -> NetworkWeights:
             data = dt_bias_init(shape[0], rng)
         else:
             raise AssertionError(kind)
-        t = Tensor(data, requires_grad=trainable, dtype=dtype)
-        if trainable:
-            named.append(Parameter(name, t))
-        return t
+        next(remaining)[...] = data
 
-    weights = _walk(cfg, alloc)
-    weights._named = named
-    seen = set()
-    for p in named:
-        if p.name in seen:
-            raise AssertionError(f"duplicate parameter name {p.name}")
-        seen.add(p.name)
-    return _flatten(weights)
-
-
-def from_arrays(cfg: ModelConfig, arrays: dict[str, np.ndarray],
-                dtype=None) -> NetworkWeights:
-    """Rebuild a weight tree from named arrays (checkpoint restore)."""
-    return _flatten(_wrap(cfg, arrays, dtype or tz.default_dtype()))
-
-
-def _wrap(cfg: ModelConfig, arrays: dict[str, np.ndarray], dtype) -> NetworkWeights:
-    """A weight tree whose parameters wrap the named arrays, with no copy
-    where an array already has the dtype."""
-    named: list[Parameter] = []
-
-    def alloc(name, shape, init, trainable=True):
-        if trainable:
-            if name not in arrays:
-                raise ValueError(f"checkpoint missing parameter {name}")
-            data = arrays[name]
-            if tuple(data.shape) != tuple(shape):
-                raise ValueError(
-                    f"shape mismatch for {name}: checkpoint has {tuple(data.shape)},"
-                    f" config implies {tuple(shape)}")
-        else:
-            data = np.ones(shape) if init[0] == "ones" else np.zeros(shape)
-        t = Tensor(data, requires_grad=trainable, dtype=dtype)
-        if trainable:
-            named.append(Parameter(name, t))
-        return t
-
-    weights = _walk(cfg, alloc)
-    weights._named = named
-    return weights
+    _walk(cfg, draw)
+    return build_weights(cfg, flat, views)
 
 
 def replica(weights: NetworkWeights, cfg: ModelConfig) -> NetworkWeights:
@@ -270,10 +252,8 @@ def replica(weights: NetworkWeights, cfg: ModelConfig) -> NetworkWeights:
     keep their own gradients: one thread's tapes accumulate into a replica
     while another's accumulate into the original, and an in-place update of
     either's arrays shows in both. It has no flat_grad of its own."""
-    rep = _wrap(cfg, {p.name: p.tensor.data for p in weights.named_parameters()},
-                weights.flat.dtype)
-    rep.flat = weights.flat
-    return rep
+    return build_weights(cfg, weights.flat,
+                         [p.tensor.data for p in weights.named_parameters()])
 
 
 # ---------------------------------------------------------------------------

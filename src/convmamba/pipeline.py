@@ -6,7 +6,7 @@ import numpy as np
 
 from . import tensor as tz
 from .audio import StftConfig, Waveform, istft, magnitude, mix_at_snr, stft
-from .masks import Mask, MaskKind, apply_mask, irm, psm
+from .masks import Mask, MaskKind, apply_mask, mask_target
 from .metrics import MetricReport, seg_snr, si_sdr
 from .network import ModelConfig, NetworkWeights, forward
 from .training import WavPool
@@ -34,13 +34,7 @@ def evaluate_pair(clean: Waveform, noisy: Waveform, noise_used: Waveform,
     Returns (report, input SI-SDR). mask_mse compares the mask that was
     applied against the ideal target for the pair.
     """
-    spec_y = stft(noisy, stft_cfg)
-    spec_s = stft(clean, stft_cfg)
-    if target_kind is MaskKind.IRM:
-        spec_d = stft(noise_used, stft_cfg)
-        target = irm(magnitude(spec_s), magnitude(spec_d)).values.data
-    else:
-        target = psm(spec_s, spec_y).values.data
+    spec_y, target = mask_target(clean, noisy, noise_used, target_kind, stft_cfg)
 
     if mode == "passthrough":
         enhanced = noisy

@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,9 +26,9 @@ import numpy as np
 
 from . import tensor as tz
 from .audio import (DegenerateSignalError, StftConfig, Waveform, load_wav,
-                    magnitude, mix_at_snr, stft)
+                    magnitude, mix_at_snr)
 from .checkpoint import save_checkpoint
-from .masks import MaskKind, irm, mask_mse_loss, psm
+from .masks import MaskKind, mask_mse_loss, mask_target
 from .network import ModelConfig, NetworkWeights, forward, init_params, replica
 from .tensor import Tape, Tensor, backward
 
@@ -190,11 +190,6 @@ class TrainItem:
     meta: dict
 
 
-@dataclass
-class Batch:
-    items: list[TrainItem]   # each at its own frame count
-
-
 def sample_mixture(clean_pool: WavPool, noise_pool: WavPool, cfg: TrainConfig,
                    rng: np.random.Generator, clean_index: int | None = None,
                    stft_cfg: StftConfig | None = None) -> TrainItem:
@@ -210,24 +205,19 @@ def sample_mixture(clean_pool: WavPool, noise_pool: WavPool, cfg: TrainConfig,
             noisy, noise_used = mix_at_snr(clean, noise_pool.load(ni), snr_db, rng)
         except DegenerateSignalError:
             continue
-        spec_y = stft(noisy, stft_cfg)
-        spec_s = stft(clean, stft_cfg)
-        if cfg.target is MaskKind.IRM:
-            spec_d = stft(noise_used, stft_cfg)
-            target = irm(magnitude(spec_s), magnitude(spec_d)).values.data
-        else:
-            target = psm(spec_s, spec_y).values.data
+        spec_y, target = mask_target(clean, noisy, noise_used, cfg.target, stft_cfg)
         meta = dict(clean=str(clean_pool.paths[ci]), noise=str(noise_pool.paths[ni]),
                     snr_db=snr_db, n_samples=len(clean), frames=spec_y.frames)
         return TrainItem(magnitude(spec_y).data, target, meta)
     raise DegenerateSignalError("10 consecutive degenerate mixture draws")
 
 
-def make_batch(items: list[TrainItem]) -> Batch:
-    """One train step's items; nothing is padded."""
+def make_batch(items: list[TrainItem]) -> list[TrainItem]:
+    """One train step's items, each at its own frame count; nothing is
+    padded."""
     if not items:
         raise ValueError("empty batch")
-    return Batch(list(items))
+    return list(items)
 
 
 def _item_loss(item: TrainItem, weights: NetworkWeights,
@@ -236,42 +226,30 @@ def _item_loss(item: TrainItem, weights: NetworkWeights,
     return mask_mse_loss(pred, Tensor(item.target))
 
 
-def batch_loss(batch: Batch, weights: NetworkWeights, cfg: ModelConfig) -> Tensor:
+def batch_loss(batch: list[TrainItem], weights: NetworkWeights,
+               cfg: ModelConfig) -> Tensor:
     """Mean of per-utterance mask MSE, each item run at its own length."""
     total = None
-    for item in batch.items:
+    for item in batch:
         loss = _item_loss(item, weights, cfg)
         total = loss if total is None else tz.add(total, loss)
-    return tz.scale(total, 1.0 / len(batch.items))
+    return tz.scale(total, 1.0 / len(batch))
 
 
-class ItemWorkers:
-    """Threads that run batch items side by side, each item on a replica of
-    the weights (see network.replica) that no other thread is using; leaving
-    the `with` block joins them."""
+# each worker_pool thread's own replica of the weights; a thread serves one
+# pool and its initializer sets this once, before the thread runs any item
+_thread_weights = threading.local()
 
-    def __init__(self, weights: NetworkWeights, cfg: ModelConfig, threads: int):
-        self._pool = ThreadPoolExecutor(threads, thread_name_prefix="convmamba-item")
-        self._idle = queue.SimpleQueue()
-        for _ in range(threads):
-            self._idle.put(replica(weights, cfg))
 
-    def __enter__(self) -> "ItemWorkers":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._pool.shutdown(cancel_futures=True)
-
-    def map(self, fn, items):
-        """fn(replica, item) for every item, yielded in item order. An item's
-        exception is raised here, and items not yet started are dropped."""
-        def run(item):
-            weights = self._idle.get()
-            try:
-                return fn(weights, item)
-            finally:
-                self._idle.put(weights)
-        return self._pool.map(run, items)
+def worker_pool(weights: NetworkWeights, cfg: ModelConfig,
+                threads: int) -> ThreadPoolExecutor:
+    """Threads that run batch items side by side, each on a replica of the
+    weights (see network.replica) that no other thread uses; leaving the
+    `with` block joins them."""
+    def give_replica():
+        _thread_weights.weights = replica(weights, cfg)
+    return ThreadPoolExecutor(threads, thread_name_prefix="convmamba-item",
+                              initializer=give_replica)
 
 
 def _item_gradients(weights: NetworkWeights, item: TrainItem, n_items: int,
@@ -288,22 +266,24 @@ def _item_gradients(weights: NetworkWeights, item: TrainItem, n_items: int,
     return loss.data, grads
 
 
-def batch_gradients(batch: Batch, weights: NetworkWeights, cfg: ModelConfig,
-                    workers: ItemWorkers | None = None) -> float:
+def batch_gradients(batch: list[TrainItem], weights: NetworkWeights,
+                    cfg: ModelConfig, workers: ThreadPoolExecutor | None = None) -> float:
     """Sum the gradient of batch_loss into weights.flat_grad, make each
     parameter's .grad its view into it, and return that loss.
 
-    Each item runs forward and backward on its own tape: on the workers when
-    given and the batch has more than one item, else one after another on
-    the calling thread. The item gradients are summed in item order either
-    way, so the result does not depend on the worker count.
+    Each item runs forward and backward on its own tape: on the workers (a
+    worker_pool over these weights) when given and the batch has more than
+    one item, else one after another on the calling thread. The item
+    gradients are summed in item order either way, so the result does not
+    depend on the worker count. An item's exception is raised here, and
+    items not yet started are dropped.
     """
-    items = batch.items
-    if workers is None or len(items) == 1:
-        results = (_item_gradients(weights, item, len(items), cfg) for item in items)
+    n = len(batch)
+    if workers is None or n == 1:
+        results = (_item_gradients(weights, item, n, cfg) for item in batch)
     else:
         results = workers.map(
-            lambda w, item: _item_gradients(w, item, len(items), cfg), items)
+            lambda item: _item_gradients(_thread_weights.weights, item, n, cfg), batch)
     views = weights.grad_views()
     total = None
     for loss, grads in results:
@@ -317,7 +297,7 @@ def batch_gradients(batch: Batch, weights: NetworkWeights, cfg: ModelConfig,
     for p, view in zip(weights.named_parameters(), views):
         p.tensor.grad = view
     # the same additions and scaling as batch_loss's forward pass
-    return float(total * total.dtype.type(1.0 / len(items)))
+    return float(total * total.dtype.type(1.0 / n))
 
 
 def _usable_cores() -> int:
@@ -371,7 +351,7 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
     stop = False
     threads = min(_usable_cores(), train_cfg.batch_size)
     with open(csv_path, "w", encoding="utf-8") as log, (
-            ItemWorkers(weights, model_cfg, threads) if threads > 1
+            worker_pool(weights, model_cfg, threads) if threads > 1
             else contextlib.nullcontext()) as workers:
         log.write("step,epoch,split,loss,lr\n")
         for epoch in range(1, train_cfg.epochs + 1):

@@ -280,6 +280,22 @@ def test_checkpoint_round_trip_fills_flat_buffer(tmp_path):
         _assert_flat_store(w2, cfg2, dtype)
         # float32 values survive the round trip exactly in either dtype
         np.testing.assert_array_equal(w2.flat, w.flat.astype(dtype))
+        again = tmp_path / f"again-{np.dtype(dtype).name}.ckpt"
+        save_checkpoint(again, w2, cfg2)
+        assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checkpoint_non_finite_record_names_file_and_parameter(tmp_path, bad):
+    cfg = tiny_cfg()
+    w = init_params(cfg, 0)
+    w.layers[1].mamba.out_proj.data[2, 3] = bad
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, w, cfg)
+    with pytest.raises(CheckpointError, match="non-finite") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+    assert "layers.1.mamba.out_proj.weight" in str(err.value)
 
 
 def test_checkpoint_bad_magic(tmp_path):

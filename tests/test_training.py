@@ -12,11 +12,11 @@ from convmamba.masks import MaskKind
 from convmamba.network import ModelConfig, init_params, replica
 from convmamba import training
 from convmamba.tensor import Parameter, Tape, Tensor, backward
-from convmamba.training import (ADAM_BLOCK, AdamState, ItemWorkers, TrainConfig,
+from convmamba.training import (ADAM_BLOCK, AdamState, TrainConfig,
                                 WavPool, adam_step, batch_gradients, batch_loss,
                                 clip_gradients, list_pool, make_batch,
                                 sample_mixture, train_loop, warmup_lr,
-                                lr_for_step)
+                                lr_for_step, worker_pool)
 
 
 def test_warmup_reference_values():
@@ -315,7 +315,7 @@ def test_threaded_gradients_match_single_tape(corpus):
             loss = batch_loss(batch, weights, mcfg)
         backward(loss, tape)
         want = {p.name: p.tensor.grad.copy() for p in weights.named_parameters()}
-        with ItemWorkers(weights, mcfg, 2) as workers:
+        with worker_pool(weights, mcfg, 2) as workers:
             got = batch_gradients(batch, weights, mcfg, workers)
     assert abs(got - loss.item()) <= 1e-12 * abs(loss.item())
     for p in weights.named_parameters():
@@ -334,7 +334,7 @@ def test_gradients_bitwise_equal_under_thread_contention(corpus):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with ItemWorkers(weights, mcfg, 4) as workers:
+        with worker_pool(weights, mcfg, 4) as workers:
             for _ in range(3):
                 assert batch_gradients(batch, weights, mcfg, workers) == want_loss
                 for p, g in zip(weights.named_parameters(), want):
@@ -345,13 +345,13 @@ def test_gradients_bitwise_equal_under_thread_contention(corpus):
 
 def test_worker_failure_raises_and_leaves_weights(corpus):
     batch = _uneven_batch(corpus, 3, 10)
-    batch.items[1].noisy_mag[0, 0] = np.inf
+    batch[1].noisy_mag[0, 0] = np.inf
     mcfg = small_model()
     weights = init_params(mcfg, 4)
     before = _weights_digest(weights)
     with pytest.raises(ValueError) as single:
         batch_loss(batch, weights, mcfg)
-    with ItemWorkers(weights, mcfg, 2) as workers:
+    with worker_pool(weights, mcfg, 2) as workers:
         with pytest.raises(ValueError) as threaded:
             batch_gradients(batch, weights, mcfg, workers)
     assert str(threaded.value) == str(single.value)
@@ -366,7 +366,7 @@ def test_train_loop_worker_failure_stops_before_adam(corpus, tmp_path, monkeypat
 
     def poisoned(items):
         batch = real_make_batch(items)
-        batch.items[1].noisy_mag[0, 0] = np.nan
+        batch[1].noisy_mag[0, 0] = np.nan
         return batch
 
     def counted(*args, **kwargs):
@@ -421,7 +421,7 @@ def test_batch_gradients_are_views_into_one_flat_gradient(corpus):
     batch = _uneven_batch(corpus, 3, 12)
     mcfg = small_model()
     weights = init_params(mcfg, 7)
-    with ItemWorkers(weights, mcfg, 2) as workers:
+    with worker_pool(weights, mcfg, 2) as workers:
         batch_gradients(batch, weights, mcfg, workers)
         flat_grad = weights.flat_grad
         assert flat_grad.shape == weights.flat.shape
@@ -447,12 +447,12 @@ def test_batch_gradients_count_a_missing_gradient_as_zero(corpus, monkeypatch):
     mcfg = small_model()
     weights = init_params(mcfg, 8)
     real = training._item_gradients
-    second_item = real(weights, batch.items[1], 2, mcfg)[1]
+    second_item = real(weights, batch[1], 2, mcfg)[1]
 
     def dropped(w, item, n_items, cfg):
         loss, grads = real(w, item, n_items, cfg)
         grads[0] = None                  # no item has a gradient for param 0
-        if item is batch.items[0]:
+        if item is batch[0]:
             grads[1] = None              # only the second item has one for param 1
         return loss, grads
 
