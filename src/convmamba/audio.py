@@ -242,8 +242,8 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float,
                rng: np.random.Generator) -> tuple[Waveform, Waveform]:
     """Add a random contiguous noise segment to clean at the requested SNR.
 
-    Returns (noisy, noise_used) where noise_used is the scaled segment, so
-    callers can build spectral targets from the exact noise that was added.
+    Returns (noisy, noise_used) where noise_used is the scaled segment that
+    was added.
     """
     if len(noise) < len(clean):
         raise AudioError("noise must be at least as long as clean")
@@ -259,7 +259,3 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float,
     noise_used = Waveform(gain * segment, clean.sample_rate)
     noisy = Waveform(clean.samples + noise_used.samples, clean.sample_rate)
     return noisy, noise_used
-
-
-def measured_snr_db(clean: Waveform, noise_used: Waveform) -> float:
-    return 10.0 * np.log10(clean.power() / noise_used.power())

@@ -58,14 +58,15 @@ def psm(s: Spectrogram, y: Spectrogram, eps: float = 1e-8) -> Mask:
     return Mask(Tensor(np.clip(raw, 0.0, 1.0), dtype=s.re.dtype), MaskKind.PSM)
 
 
-def mask_target(clean: Waveform, noisy: Waveform, noise: Waveform, kind: MaskKind,
+def mask_target(clean: Waveform, noisy: Waveform, kind: MaskKind,
                 cfg: StftConfig) -> tuple[Spectrogram, np.ndarray]:
-    """The noisy spectrogram of a mixture and its ideal mask of the given
-    kind, from the clean, noisy and noise signals."""
+    """The noisy spectrogram of a mixture noisy = clean + noise and its ideal
+    mask of the given kind; the noise spectrum is stft(noisy) - stft(clean)."""
     spec_y = stft(noisy, cfg)
     spec_s = stft(clean, cfg)
     if kind is MaskKind.IRM:
-        target = irm(magnitude(spec_s), magnitude(stft(noise, cfg)))
+        spec_d = Spectrogram(spec_y.re - spec_s.re, spec_y.im - spec_s.im, cfg)
+        target = irm(magnitude(spec_s), magnitude(spec_d))
     else:
         target = psm(spec_s, spec_y)
     return spec_y, target.values.data

@@ -25,16 +25,16 @@ def enhance_waveform(noisy: Waveform, weights: NetworkWeights, cfg: ModelConfig,
     return istft(shaped, stft_cfg, out_len=len(noisy)), mask.values.data
 
 
-def evaluate_pair(clean: Waveform, noisy: Waveform, noise_used: Waveform,
-                  mode: str, weights: NetworkWeights | None,
-                  cfg: ModelConfig | None, stft_cfg: StftConfig,
+def evaluate_pair(clean: Waveform, noisy: Waveform, mode: str,
+                  weights: NetworkWeights | None, cfg: ModelConfig | None,
+                  stft_cfg: StftConfig,
                   target_kind: MaskKind = MaskKind.IRM) -> tuple[MetricReport, float]:
     """Enhance one mixture under the given mode and score it against clean.
 
     Returns (report, input SI-SDR). mask_mse compares the mask that was
     applied against the ideal target for the pair.
     """
-    spec_y, target = mask_target(clean, noisy, noise_used, target_kind, stft_cfg)
+    spec_y, target = mask_target(clean, noisy, target_kind, stft_cfg)
 
     if mode == "passthrough":
         enhanced = noisy
@@ -69,9 +69,9 @@ def evaluate_corpus(clean_pool: WavPool, noise_pool: WavPool, snrs: list[int],
         for ci in range(n_clean):
             clean = clean_pool.load(ci)
             ni = int(rng.integers(0, len(noise_pool)))
-            noisy, noise_used = mix_at_snr(clean, noise_pool.load(ni), snr_db, rng)
-            report, si_sdr_in = evaluate_pair(clean, noisy, noise_used, mode,
-                                              weights, cfg, stft_cfg, target_kind)
+            noisy, _ = mix_at_snr(clean, noise_pool.load(ni), snr_db, rng)
+            report, si_sdr_in = evaluate_pair(clean, noisy, mode, weights, cfg,
+                                              stft_cfg, target_kind)
             rows.append(dict(clean=clean_pool.paths[ci].name,
                              noise=noise_pool.paths[ni].name,
                              snr_db=snr_db, si_sdr_noisy_db=si_sdr_in,

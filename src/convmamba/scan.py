@@ -14,11 +14,10 @@ diagonal A < 0 and B_t at a per-timestep, per-channel step size delta_t > 0
 delta, B and C are themselves projections of the input sequence. The scan
 evaluates the recurrence step by step.
 
-The scan runs over cache-sized chunks of CHUNK frames (the adjoint's five
-(16, N, d_inner) float32 buffers take 2.5 MiB at d_inner 512, N 16); each
-chunk's recurrence starts from the state carried out of the one before. A
-taped scan keeps its inputs and the state entering each chunk, from which its
-adjoint recomputes the chunk in reverse.
+The scan runs over time chunks whose (frames, N, d_inner) buffers take at
+most 512 KiB (chunk_frames: 16 frames at N 16, d_inner 512 in float32, where
+the adjoint's five fit a 4 MiB L2 cache). A taped scan keeps its inputs and
+the state entering each chunk, from which its adjoint recomputes it in reverse.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ import numpy as np
 
 from . import tensor as tz
 from .tensor import Tensor, _accum
-
-CHUNK = 16
 
 
 @dataclass
@@ -176,6 +173,11 @@ def _chunk_states(h0, delta, b, u, a_t, inv_a, ea, a_bar, s, h):
     return _states_sequential(h0, a_bar, s, h)
 
 
+def chunk_frames(n_state: int, d_inner: int, itemsize: int) -> int:
+    """Frames per scan chunk: as many as fit a (frames, N, d_inner) buffer in 512 KiB."""
+    return max(1, 512 * 1024 // (n_state * d_inner * itemsize))
+
+
 def selective_scan_seq(u: Tensor, si: SelectiveInputs, p: SsmParams) -> Tensor:
     """Evaluate the recurrence step by step from h_0 = 0."""
     udata = u.data
@@ -186,9 +188,10 @@ def selective_scan_seq(u: Tensor, si: SelectiveInputs, p: SsmParams) -> Tensor:
     a_t = np.ascontiguousarray(-np.exp(p.a_log.data).T)
     inv_a = 1.0 / a_t
     dtype = delta.dtype
-    spans = [(t0, min(t0 + CHUNK, len(delta))) for t0 in range(0, len(delta), CHUNK)]
+    step = min(chunk_frames(*a_t.shape, dtype.itemsize), max(1, len(delta)))
+    spans = [(t0, min(t0 + step, len(delta))) for t0 in range(0, len(delta), step)]
     boundary = np.zeros((len(spans) + 1,) + a_t.shape, dtype=dtype)  # h entering chunk k
-    x, a_bar, s = np.empty((3, CHUNK) + a_t.shape, dtype=dtype)
+    x, a_bar, s = np.empty((3, step) + a_t.shape, dtype=dtype)
     z = np.empty_like(udata)
     for k, (t0, t1) in enumerate(spans):
         n = t1 - t0
@@ -206,7 +209,7 @@ def selective_scan_seq(u: Tensor, si: SelectiveInputs, p: SsmParams) -> Tensor:
         g_b = np.empty_like(bdata)
         g_c = np.empty_like(cdata)
         g_a = np.zeros_like(a_t)
-        x, a_bar, s, ea, lam = np.empty((5, CHUNK) + a_t.shape, dtype=dtype)
+        x, a_bar, s, ea, lam = np.empty((5, step) + a_t.shape, dtype=dtype)
         carry = np.zeros_like(a_t)                 # a_bar[t+1]*lam[t+1] past the chunk
         for k in range(len(spans) - 1, -1, -1):
             t0, t1 = spans[k]

@@ -323,10 +323,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     """Normalize each row of x over its last axis (biased variance), then affine."""
     if x.data.shape[-1] != gamma.data.shape[0] or gamma.data.shape != beta.data.shape:
         raise ValueError("layer_norm parameter shape mismatch")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv
+    # centred once; sum/n is how np.mean and np.var divide, so the bits match
+    n = x.data.shape[-1]
+    d = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((d * d).sum(axis=-1, keepdims=True) / n + eps)
+    xhat = d * inv
     out_data = xhat * gamma.data + beta.data
 
     def bwd(g):
@@ -335,10 +336,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         if beta.requires_grad:
             _accum(beta, g.reshape(-1, g.shape[-1]).sum(axis=0))
         if x.requires_grad:
-            n = x.data.shape[-1]
             gx = g * gamma.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+            m1 = gx.sum(axis=-1, keepdims=True) / n
+            m2 = (gx * xhat).sum(axis=-1, keepdims=True) / n
             _accum(x, inv * (gx - m1 - xhat * m2))
 
     return _finish("layer_norm", out_data, (x, gamma, beta), bwd)

@@ -202,10 +202,10 @@ def sample_mixture(clean_pool: WavPool, noise_pool: WavPool, cfg: TrainConfig,
         snr_db = int(rng.integers(cfg.snr_lo, cfg.snr_hi + 1))
         try:
             clean = clean_pool.load(ci)
-            noisy, noise_used = mix_at_snr(clean, noise_pool.load(ni), snr_db, rng)
+            noisy, _ = mix_at_snr(clean, noise_pool.load(ni), snr_db, rng)
         except DegenerateSignalError:
             continue
-        spec_y, target = mask_target(clean, noisy, noise_used, cfg.target, stft_cfg)
+        spec_y, target = mask_target(clean, noisy, cfg.target, stft_cfg)
         meta = dict(clean=str(clean_pool.paths[ci]), noise=str(noise_pool.paths[ni]),
                     snr_db=snr_db, n_samples=len(clean), frames=spec_y.frames)
         return TrainItem(magnitude(spec_y).data, target, meta)

@@ -5,6 +5,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from convmamba import scan
 from convmamba.audio import Waveform, save_wav
 from convmamba.scan import discretize_zoh
 from convmamba.tensor import set_default_dtype
@@ -47,6 +48,16 @@ def write_corpus(root, n_clean=3, n_noise=2, seconds=0.5, seed=0):
 @pytest.fixture
 def corpus(tmp_path):
     return write_corpus(tmp_path)
+
+
+EDGE_CHUNK = 16
+
+
+@pytest.fixture
+def chunk16(monkeypatch):
+    """Chunk every scan at EDGE_CHUNK frames, so tests reach chunk edges at
+    shapes (float64, a few channels) where the byte rule gives one chunk."""
+    monkeypatch.setattr(scan, "chunk_frames", lambda *shape: EDGE_CHUNK)
 
 
 def naive_scan(u, delta, b, c, a, d_skip):

@@ -33,10 +33,11 @@ def t64(a):
 
 # -- criterion 1: scan-form equivalence -------------------------------------
 
-def test_c1_scan_form_equivalence():
-    # the production scan against two oracles that share none of its
-    # chunking: a per-step float64 loop, and a causal convolution with the
-    # scan's kernel when delta, B and C do not change over time
+def test_c1_scan_form_equivalence(chunk16):
+    # the production scan, chunked every 16 frames, against two oracles that
+    # share none of its chunking: a per-step float64 loop, and a causal
+    # convolution with the scan's kernel when delta, B and C do not change
+    # over time
     rng = np.random.default_rng(101)
     start = time.perf_counter()
     worst_loop = 0.0

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from convmamba.audio import (AudioError, DegenerateSignalError, StftConfig,
-                             Waveform, istft, load_wav, magnitude,
-                             measured_snr_db, mix_at_snr, num_frames, phase,
-                             save_wav, stft)
+                             Waveform, istft, load_wav, magnitude, mix_at_snr,
+                             num_frames, phase, save_wav, stft)
 
 
 def rand_wave(rng, seconds=1.0, rate=16000):
@@ -227,6 +226,10 @@ def test_mix_gain_closed_form():
     _, used20 = mix_at_snr(clean, noise, 20.0, np.random.default_rng(0))
     g = np.sqrt(used20.power() / noise.power())
     assert abs(g - 0.1) < 1e-12
+
+
+def measured_snr_db(clean: Waveform, noise_used: Waveform) -> float:
+    return 10.0 * np.log10(clean.power() / noise_used.power())
 
 
 def test_mix_measured_snr_exact_over_100_cases():

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from convmamba.audio import Spectrogram, StftConfig, Waveform, istft, stft
-from convmamba.masks import MaskKind, apply_mask, irm, mask_mse_loss, psm
+from convmamba.audio import (Spectrogram, StftConfig, Waveform, istft, magnitude,
+                             mix_at_snr, stft)
+from convmamba.masks import (MaskKind, apply_mask, irm, mask_mse_loss, mask_target,
+                             psm)
 from convmamba.metrics import si_sdr
 from convmamba.tensor import Tape, Tensor, backward
+
+from conftest import synth_speechlike
 
 
 def tens(a):
@@ -162,3 +166,25 @@ def test_oracle_mask_improves_si_sdr():
         base = si_sdr(noisy, clean)
         boosted = si_sdr(enhanced, clean)
         assert boosted > base, f"no oracle gain at {snr} dB: {boosted} <= {base}"
+
+
+def test_two_stft_targets_match_three_stft_oracle():
+    # oracle: the IRM from a third STFT of the noise that was added, which
+    # mask_target replaces with stft(noisy) - stft(clean)
+    rng = np.random.default_rng(71)
+    cfg = StftConfig()
+    worst = 0.0
+    for _ in range(50):
+        clean = synth_speechlike(rng, seconds=rng.uniform(0.1, 1.0))
+        noise = Waveform(rng.standard_normal(len(clean) + 800))
+        noisy, used = mix_at_snr(clean, noise, int(rng.integers(-10, 21)), rng)
+        spec_s, spec_y = stft(clean, cfg), stft(noisy, cfg)
+        want = irm(magnitude(spec_s), magnitude(stft(used, cfg))).values.data
+        got_y, got = mask_target(clean, noisy, MaskKind.IRM, cfg)
+        assert got.dtype == np.float64
+        worst = max(worst, float(np.max(np.abs(got - want))))
+        np.testing.assert_array_equal(got_y.re, spec_y.re)
+        np.testing.assert_array_equal(got_y.im, spec_y.im)
+        _, got_psm = mask_target(clean, noisy, MaskKind.PSM, cfg)
+        np.testing.assert_array_equal(got_psm, psm(spec_s, spec_y).values.data)
+    assert worst <= 1e-12, worst

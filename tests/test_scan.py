@@ -6,13 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from convmamba.scan import (CHUNK, SelectiveInputs, SsmParams, discretize_zoh,
-                            dt_rank_for, init_ssm_params, selective_scan_seq,
-                            softplus_inverse, ssm_parameterize)
+from convmamba.scan import (SelectiveInputs, SsmParams, chunk_frames,
+                            discretize_zoh, dt_rank_for, init_ssm_params,
+                            selective_scan_seq, softplus_inverse,
+                            ssm_parameterize)
 from convmamba.tensor import (Tape, Tensor, backward, finite_diff_check, mul,
                               scale, sum_all)
 
-from conftest import lti_kernel, naive_scan
+from conftest import EDGE_CHUNK, lti_kernel, naive_scan
 
 
 def t64(a, requires_grad=False):
@@ -221,11 +222,34 @@ def test_scan_gradient_direct_inputs():
         assert finite_diff_check(wrt_delta, field) < 1e-4
 
 
-# Lengths around the current chunk length, plus fixed ones (63, 64, 65, 197)
-# that straddle chunk edges for any CHUNK that is a power of two up to 64.
-@pytest.mark.parametrize("length", sorted({1, 63, 64, 65, 197, CHUNK - 1, CHUNK,
-                                           CHUNK + 1, 3 * CHUNK + 5}))
-def test_scan_across_chunk_edges_matches_loop(length):
+def test_chunk_frames_sized_by_bytes(monkeypatch):
+    import convmamba.scan as scan
+    assert chunk_frames(16, 512, 4) == 16           # convmamba-4, float32
+    assert chunk_frames(16, 512, 8) == 8
+    assert chunk_frames(10 ** 9, 512, 8) == 1       # never below one frame
+    # C9's narrow float32 scan: one chunk of 16384 frames fills the budget
+    assert chunk_frames(2, 4, 4) * 2 * 4 * 4 <= 512 * 1024
+    assert chunk_frames(2, 4, 4) >= 16384
+    # d_model 32 (d_inner 64): a 1 s utterance's 62-frame scan is one chunk
+    calls = []
+    chunk_states = scan._chunk_states
+    monkeypatch.setattr(scan, "_chunk_states",
+                        lambda *a: calls.append(len(a[1])) or chunk_states(*a))
+    rng = np.random.default_rng(5)
+    p = init_ssm_params(64, 16, 2, rng, dtype=np.float32)
+    u, si = random_inputs(rng, 62, 64, 16)
+    f32 = [Tensor(t.data, dtype=np.float32) for t in (u, si.delta, si.b, si.c)]
+    selective_scan_seq(f32[0], SelectiveInputs(*f32[1:]), p)
+    assert calls == [62]
+
+
+# Scans chunked every EDGE_CHUNK frames (the chunk16 fixture): lengths around
+# the chunk length, plus fixed ones (63, 64, 65, 197) that straddle chunk
+# edges for any chunk length that is a power of two up to 64.
+@pytest.mark.parametrize("length", sorted({1, 63, 64, 65, 197, EDGE_CHUNK - 1,
+                                           EDGE_CHUNK, EDGE_CHUNK + 1,
+                                           3 * EDGE_CHUNK + 5}))
+def test_scan_across_chunk_edges_matches_loop(length, chunk16):
     rng = np.random.default_rng(length)
     p = make_params(6, 4, rng)
     p.d_skip.data[:] = rng.uniform(0.1, 1.0, 6)
@@ -237,9 +261,9 @@ def test_scan_across_chunk_edges_matches_loop(length):
 
 # one-entry parametrisation keeps the test id it had beside a second evaluator
 @pytest.mark.parametrize("scan", [selective_scan_seq])
-def test_scan_gradients_across_chunk_edges(scan):
+def test_scan_gradients_across_chunk_edges(scan, chunk16):
     rng = np.random.default_rng(31)
-    d_inner, n, length = 3, 2, 2 * CHUNK + 3
+    d_inner, n, length = 3, 2, 2 * EDGE_CHUNK + 3
     p = make_params(d_inner, n, rng)
     p.d_skip.data[:] = rng.uniform(0.1, 1.0, d_inner)
     p.d_skip.requires_grad = True
@@ -253,10 +277,10 @@ def test_scan_gradients_across_chunk_edges(scan):
         assert finite_diff_check(loss, field) < 1e-4, field
 
 
-def test_scan_gradients_at_tiny_steps():
+def test_scan_gradients_at_tiny_steps(chunk16):
     # |delta*A| down to 1e-7, where expm1(x)/A nearly cancels to delta
     rng = np.random.default_rng(41)
-    d_inner, n, length = 3, 4, 2 * CHUNK + 3
+    d_inner, n, length = 3, 4, 2 * EDGE_CHUNK + 3
     p = make_params(d_inner, n, rng)
     p.d_skip.data[:] = rng.uniform(0.1, 1.0, d_inner)
     p.d_skip.requires_grad = True

@@ -107,6 +107,38 @@ def test_layer_norm_against_direct_formula():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def mean_var_layer_norm(x, gamma, beta, g, eps=1e-5):
+    """Layer norm through np.mean and np.var, and its x, gamma and beta
+    gradients for the output gradient g: the oracle for the one-pass form."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv
+    gx = g * gamma
+    m1 = gx.mean(axis=-1, keepdims=True)
+    m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    return (xhat * gamma + beta, inv * (gx - m1 - xhat * m2),
+            (g * xhat).sum(axis=0), g.sum(axis=0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(62, 257), (62, 32), (2000, 512)])
+def test_layer_norm_bits_match_mean_var_oracle(shape, dtype):
+    rng = np.random.default_rng(shape[1])
+    x, g = (rng.standard_normal((2,) + shape) * 3.0 + 1.0).astype(dtype)
+    gamma, beta = rng.standard_normal((2, shape[1])).astype(dtype)
+    xt, gt, bt = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x, gamma, beta))
+    with Tape() as tape:
+        out = layer_norm(xt, gt, bt)
+        loss = sum_all(mul(out, Tensor(g, dtype=dtype)))
+    backward(loss, tape)
+    got = (out.data, xt.grad, gt.grad, bt.grad)
+    for name, want, have in zip(("out", "x", "gamma", "beta"),
+                                mean_var_layer_norm(x, gamma, beta, g), got):
+        assert have.dtype == dtype, name
+        np.testing.assert_array_equal(have, want, err_msg=name)
+
+
 def test_backward_square():
     x = t64([3.0], requires_grad=True)
     with Tape() as tape:
