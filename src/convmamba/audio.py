@@ -230,10 +230,6 @@ def magnitude(spec: Spectrogram) -> Tensor:
     return Tensor(np.sqrt(spec.re ** 2 + spec.im ** 2), dtype=spec.re.dtype)
 
 
-def phase(spec: Spectrogram) -> Tensor:
-    return Tensor(np.arctan2(spec.im, spec.re), dtype=spec.re.dtype)
-
-
 # ---------------------------------------------------------------------------
 # SNR mixing
 # ---------------------------------------------------------------------------

@@ -84,42 +84,22 @@ def dt_bias_init(d_inner: int, rng: np.random.Generator) -> np.ndarray:
     return softplus_inverse(np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), d_inner)))
 
 
-def init_ssm_params(d_inner: int, n_state: int, dt_rank: int,
-                    rng: np.random.Generator, learnable_skip: bool = False,
-                    dtype=None) -> SsmParams:
-    """Standard initialization: A = -(1..N) per channel, fan-in uniform
-    projections, and dt bias set so softplus(bias) is log-uniform in
-    [1e-3, 1e-1]."""
-    dtype = dtype or tz.default_dtype()
-    a_log = a_log_init(d_inner, n_state)
-    x_proj = rng.uniform(-1, 1, (d_inner, dt_rank + 2 * n_state)) / np.sqrt(d_inner)
-    dt_w = rng.uniform(-1, 1, (dt_rank, d_inner)) / np.sqrt(dt_rank)
-    dt_bias = dt_bias_init(d_inner, rng)
-    d_skip = np.ones(d_inner) if learnable_skip else np.zeros(d_inner)
-    return SsmParams(
-        a_log=Tensor(a_log, requires_grad=True, dtype=dtype),
-        d_skip=Tensor(d_skip, requires_grad=learnable_skip, dtype=dtype),
-        x_proj_weight=Tensor(x_proj, requires_grad=True, dtype=dtype),
-        dt_proj_weight=Tensor(dt_w, requires_grad=True, dtype=dtype),
-        dt_proj_bias=Tensor(dt_bias, requires_grad=True, dtype=dtype))
-
-
 # ---------------------------------------------------------------------------
 # zero-order hold
 # ---------------------------------------------------------------------------
 
-def discretize_zoh(a, b, delta):
-    """Zero-order-hold discretization of dh/dt = a*h + b*u over a step delta.
+def zoh_terms(delta, a_t, inv_a, ea, a_bar) -> None:
+    """Zero-order-hold terms of dh/dt = A*h + B*u over steps delta, written
+    into ea and a_bar: with x = delta*A, a_bar = exp(x) and ea = expm1(x)/A,
+    so b_bar = ea*B.
 
-    a_bar = exp(delta*a) and b_bar = expm1(delta*a)/a * b, elementwise on
-    scalars or broadcastable arrays. a must be negative, as the network's
-    A = -exp(a_log) always is.
+    delta broadcasts against the diagonal A = a_t < 0, and inv_a = 1/a_t.
+    expm1 keeps ea accurate as x goes to zero.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if (a >= 0).any():
-        raise ValueError("a must be negative")
-    e = np.expm1(np.asarray(delta, dtype=np.float64) * a)
-    return e + 1.0, e / a * np.asarray(b, dtype=np.float64)
+    np.multiply(delta, a_t, out=ea)
+    np.expm1(ea, out=ea)
+    np.add(ea, 1.0, out=a_bar)
+    ea *= inv_a
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +141,10 @@ def _states_sequential(h0: np.ndarray, a_bar: np.ndarray, s: np.ndarray,
 def _chunk_states(h0, delta, b, u, a_t, inv_a, ea, a_bar, s, h):
     """States (n, N, D) of one chunk entered with state h0, written into h.
 
-    Also fills, for the chunk, ea = expm1(delta*A)/A, a_bar = exp(delta*A)
-    and the drive s = b_bar*u; ea and h may share a buffer.
+    Also fills, for the chunk, ea and a_bar (see zoh_terms) and the drive
+    s = b_bar*u; ea and h may share a buffer.
     """
-    np.multiply(delta[:, None, :], a_t, out=ea)
-    np.expm1(ea, out=ea)
-    np.add(ea, 1.0, out=a_bar)
-    ea *= inv_a
+    zoh_terms(delta[:, None, :], a_t, inv_a, ea, a_bar)
     np.multiply(ea, u[:, None, :], out=s)
     s *= b[:, :, None]
     return _states_sequential(h0, a_bar, s, h)

@@ -14,20 +14,15 @@ import numpy as np
 
 _DEFAULT_DTYPE = np.float32
 
-_DTYPE_NAMES = {"f32": np.float32, "f64": np.float64,
-                "float32": np.float32, "float64": np.float64}
+_DTYPE_NAMES = {"f32": np.float32, "f64": np.float64}
 
 
-def set_default_dtype(dtype) -> None:
+def set_default_dtype(name: str) -> None:
     """Set the dtype used for newly constructed tensors ("f32" or "f64")."""
     global _DEFAULT_DTYPE
-    if isinstance(dtype, str):
-        if dtype not in _DTYPE_NAMES:
-            raise ValueError(f"unknown precision {dtype!r}")
-        dtype = _DTYPE_NAMES[dtype]
-    if dtype not in (np.float32, np.float64):
-        raise ValueError("precision must be float32 or float64")
-    _DEFAULT_DTYPE = dtype
+    if name not in _DTYPE_NAMES:
+        raise ValueError(f"unknown precision {name!r}")
+    _DEFAULT_DTYPE = _DTYPE_NAMES[name]
 
 
 def default_dtype():
@@ -306,17 +301,6 @@ def softplus(x: Tensor) -> Tensor:
             _accum(x, g * _sigmoid(x.data))
 
     return _finish("softplus", out_data, (x,), bwd)
-
-
-def exp(x: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        e = np.exp(x.data)
-
-    def bwd(g):
-        if x.requires_grad:
-            _accum(x, g * e)
-
-    return _finish("exp", e, (x,), bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -321,11 +321,6 @@ class TrainResult:
     metrics_csv: Path
 
 
-def _validation_loss(items: list[TrainItem], weights: NetworkWeights,
-                     cfg: ModelConfig) -> float:
-    return batch_loss(make_batch(items), weights, cfg).item()
-
-
 def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
                clean_pool: WavPool, noise_pool: WavPool, out_dir,
                stft_cfg: StftConfig | None = None) -> TrainResult:
@@ -372,7 +367,7 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
                     stop = True
                     break
             if stop or epoch % train_cfg.val_every == 0 or epoch == train_cfg.epochs:
-                val_loss = _validation_loss(val_items, weights, model_cfg)
+                val_loss = batch_loss(val_items, weights, model_cfg).item()
                 lr = lr_for_step(max(step, 1), model_cfg.d_model, train_cfg)
                 log.write(f"{step},{epoch},val,{val_loss:.10e},{lr:.10e}\n")
                 if val_loss < best_val:

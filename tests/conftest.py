@@ -1,4 +1,5 @@
-"""Shared synthetic-audio fixtures and the scan oracles."""
+"""Shared synthetic-audio fixtures, the scan oracles, and the SSM init that
+the scan tests draw their parameters from."""
 
 from contextlib import contextmanager
 
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 from convmamba import scan
+from convmamba import tensor as tz
 from convmamba.audio import Waveform, save_wav
-from convmamba.scan import discretize_zoh
-from convmamba.tensor import set_default_dtype
+from convmamba.scan import SsmParams, a_log_init, dt_bias_init
+from convmamba.tensor import Tensor, set_default_dtype
 
 
 @contextmanager
@@ -58,6 +60,35 @@ def chunk16(monkeypatch):
     """Chunk every scan at EDGE_CHUNK frames, so tests reach chunk edges at
     shapes (float64, a few channels) where the byte rule gives one chunk."""
     monkeypatch.setattr(scan, "chunk_frames", lambda *shape: EDGE_CHUNK)
+
+
+def init_ssm_params(d_inner, n_state, dt_rank, rng, dtype=None):
+    """One SSM's parameters at the network's init: A = -(1..N) per channel,
+    fan-in uniform projections, dt bias set so softplus(bias) is log-uniform
+    in [1e-3, 1e-1], and a fixed zero skip."""
+    dtype = dtype or tz.default_dtype()
+    a_log = a_log_init(d_inner, n_state)
+    x_proj = rng.uniform(-1, 1, (d_inner, dt_rank + 2 * n_state)) / np.sqrt(d_inner)
+    dt_w = rng.uniform(-1, 1, (dt_rank, d_inner)) / np.sqrt(dt_rank)
+    dt_bias = dt_bias_init(d_inner, rng)
+    return SsmParams(
+        a_log=Tensor(a_log, requires_grad=True, dtype=dtype),
+        d_skip=Tensor(np.zeros(d_inner), dtype=dtype),
+        x_proj_weight=Tensor(x_proj, requires_grad=True, dtype=dtype),
+        dt_proj_weight=Tensor(dt_w, requires_grad=True, dtype=dtype),
+        dt_proj_bias=Tensor(dt_bias, requires_grad=True, dtype=dtype))
+
+
+def discretize_zoh(a, b, delta):
+    """Zero-order-hold discretization of dh/dt = a*h + b*u over a step delta,
+    in float64: a_bar = exp(delta*a) and b_bar = expm1(delta*a)/a * b,
+    elementwise on scalars or broadcastable arrays. a must be negative, as
+    the network's A = -exp(a_log) always is."""
+    a = np.asarray(a, dtype=np.float64)
+    if (a >= 0).any():
+        raise ValueError("a must be negative")
+    e = np.expm1(np.asarray(delta, dtype=np.float64) * a)
+    return e + 1.0, e / a * np.asarray(b, dtype=np.float64)
 
 
 def naive_scan(u, delta, b, c, a, d_skip):

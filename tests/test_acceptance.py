@@ -14,12 +14,12 @@ from convmamba.audio import StftConfig, Waveform, istft, magnitude, mix_at_snr, 
 from convmamba.masks import apply_mask, irm
 from convmamba.metrics import si_sdr
 from convmamba.network import ModelConfig, count_params
-from convmamba.scan import (SelectiveInputs, discretize_zoh, init_ssm_params,
-                            selective_scan_seq)
+from convmamba.scan import SelectiveInputs, selective_scan_seq, zoh_terms
 from convmamba.tensor import Tensor
 from convmamba.training import warmup_lr
 
-from conftest import causal_conv, lti_kernel, naive_scan, synth_speechlike
+from conftest import (causal_conv, discretize_zoh, init_ssm_params,
+                      lti_kernel, naive_scan, synth_speechlike)
 
 
 def report(num: int, ok: bool, detail: str):
@@ -78,12 +78,15 @@ def test_c1_scan_form_equivalence(chunk16):
 # -- criterion 2: ZOH discretization ----------------------------------------
 
 def test_c2_zoh_against_series_oracle():
+    # the scan's own ZOH terms (scan.zoh_terms), one draw per channel
     rng = np.random.default_rng(202)
     n = 10_000
     a = -rng.uniform(0.01, 16.0, n)
     delta = np.exp(rng.uniform(np.log(1e-5), np.log(0.25), n))
     b = rng.standard_normal(n)
-    a_bar, b_bar = discretize_zoh(a, b, delta)
+    ea, a_bar = np.empty((2, n))
+    zoh_terms(delta, a, 1.0 / a, ea, a_bar)
+    b_bar = ea * b
     x = delta * a
     series = np.zeros_like(x)
     fact = 1.0
@@ -95,10 +98,14 @@ def test_c2_zoh_against_series_oracle():
     want_b = series * delta * b
     err_b = float(np.max(np.abs(b_bar - want_b) / np.maximum(1.0, np.abs(want_b))))
     err_a = float(np.max(np.abs(a_bar - np.exp(x))))
+    # near x = 0, where expm1(x)/x would need a series branch without expm1:
+    # at A = -1 and delta = -x0, ea/delta is expm1(x0)/x0
     jumps = []
-    for x0 in (1e-4, -1e-4):
+    for x0 in (-1e-4, -1e-8, -1e-12):
+        ea0, a_bar0 = np.empty((2, 1))
+        zoh_terms(np.array([-x0]), np.array([-1.0]), np.array([-1.0]), ea0, a_bar0)
         taylor = 1.0 + x0 / 2.0 + x0 ** 2 / 6.0 + x0 ** 3 / 24.0
-        jumps.append(abs(taylor - np.expm1(x0) / x0))
+        jumps.append(abs(taylor - ea0[0] / -x0))
     ok = err_b < 1e-12 and err_a < 1e-12 and max(jumps) < 1e-10
     report(2, ok, f"ZOH vs 30-term series on 1e4 draws: b_bar err {err_b:.2e} "
                   f"(<1e-12), branch jump {max(jumps):.2e} (<1e-10)")

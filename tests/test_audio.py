@@ -5,7 +5,7 @@ import pytest
 
 from convmamba.audio import (AudioError, DegenerateSignalError, StftConfig,
                              Waveform, istft, load_wav, magnitude, mix_at_snr,
-                             num_frames, phase, save_wav, stft)
+                             num_frames, save_wav, stft)
 
 
 def rand_wave(rng, seconds=1.0, rate=16000):
@@ -195,18 +195,15 @@ def test_parseval_per_frame():
         assert abs(time_energy - spec_energy) <= 1e-8 * max(1.0, time_energy)
 
 
-def test_magnitude_phase_conventions():
+def test_magnitude_conventions():
     spec = Spectrogram_from(np.array([[3.0, 0.0]]), np.array([[4.0, 0.0]]))
     mags = magnitude(spec).data
-    phs = phase(spec).data
     assert mags[0, 0] == 5.0 and mags[0, 1] == 0.0
-    assert phs[0, 1] == 0.0  # atan2(0, 0) convention
     rng = np.random.default_rng(3)
     re = rng.standard_normal((4, 257))
     im = rng.standard_normal((4, 257))
     sp = Spectrogram_from(re, im)
     np.testing.assert_allclose(magnitude(sp).data, np.sqrt(re ** 2 + im ** 2), atol=1e-15)
-    np.testing.assert_allclose(phase(sp).data, np.arctan2(im, re), atol=1e-15)
 
 
 def Spectrogram_from(re2, im2):

@@ -64,7 +64,7 @@ def test_activation_fixed_points():
 
 def test_activation_saturation_stays_finite():
     x = t64([-50.0, 50.0])
-    for fn in (T.relu, sigmoid, silu, softplus, T.exp):
+    for fn in (T.relu, sigmoid, silu, softplus):
         assert np.isfinite(fn(x).data).all(), fn.__name__
     s = sigmoid(t64([-20.0, 20.0])).data
     assert 0.0 < s[0] and s[1] < 1.0
@@ -202,7 +202,6 @@ def _unary_cases():
         ("sigmoid", lambda x: sum_all(sigmoid(x))),
         ("silu", lambda x: sum_all(silu(x))),
         ("softplus", lambda x: sum_all(softplus(x))),
-        ("exp", lambda x: sum_all(T.exp(x))),
         ("scale", lambda x: sum_all(scale(x, 1.7))),
         ("slice", lambda x: sum_all(slice_cols(x, 1, 3))),
         ("flip", lambda x: sum_all(mul(T.flip_time(x), x))),
@@ -257,16 +256,16 @@ def test_no_nan_inf_for_bounded_inputs():
     x = t64(rng.uniform(-50.0, 50.0, size=(8, 8)))
     y = t64(rng.uniform(-50.0, 50.0, size=(8, 8)))
     for out in (matmul(x, y), add(x, y), sub(x, y), mul(x, y),
-                T.relu(x), sigmoid(x), silu(x), softplus(x), T.exp(x),
+                T.relu(x), sigmoid(x), silu(x), softplus(x),
                 layer_norm(x, t64(np.ones(8)), t64(np.zeros(8))),
                 sum_all(x), scale(x, 3.0)):
         assert np.isfinite(out.data).all()
 
 
 def test_nonfinite_op_output_raises():
-    big = t64([700.0, 800.0])
-    with pytest.raises(ValueError):
-        T.exp(big)
+    big = t64([1e200, 1e300])
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        mul(big, big)
 
 
 def test_no_recording_without_tape():
@@ -291,13 +290,15 @@ def test_default_dtype_switch():
     finally:
         T.set_default_dtype("f32")
     assert Tensor([1.0]).data.dtype == np.float32
-    with pytest.raises(ValueError):
-        T.set_default_dtype("f16")
+    for name in ("f16", "float64"):
+        with pytest.raises(ValueError):
+            T.set_default_dtype(name)
 
 
 def test_nonfinite_op_output_names_the_op():
-    with pytest.raises(ValueError, match="non-finite values produced by exp"):
-        T.exp(t64([1000.0]))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="non-finite values produced by mul"):
+        mul(t64([1e200]), t64([1e200]))
 
 
 def test_one_isfinite_pass_per_op(monkeypatch):

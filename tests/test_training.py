@@ -265,7 +265,6 @@ def test_train_loop_smoke_and_determinism(corpus, tmp_path):
 
 
 def test_validation_does_not_touch_weights(corpus):
-    from convmamba.training import _validation_loss
     clean, noise = pools(corpus)
     cfg = TrainConfig()
     rng = np.random.default_rng(3)
@@ -273,7 +272,7 @@ def test_validation_does_not_touch_weights(corpus):
     mcfg = small_model()
     weights = init_params(mcfg, 5)
     before = _weights_digest(weights)
-    _validation_loss(items, weights, mcfg)
+    batch_loss(items, weights, mcfg).item()
     assert _weights_digest(weights) == before
 
 
