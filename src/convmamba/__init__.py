@@ -1,9 +1,9 @@
 """Selective state-space speech enhancement with conv-augmented Mamba layers."""
 
-from .audio import (Spectrogram, StftConfig, Waveform, istft, load_wav,
-                    magnitude, mix_at_snr, save_wav, stft)
+from .audio import (StftConfig, Waveform, istft, load_wav, magnitude,
+                    mix_at_snr, save_wav, stft)
 from .checkpoint import load_checkpoint, save_checkpoint
-from .masks import Mask, MaskKind, apply_mask, irm, mask_mse_loss, psm
+from .masks import MaskKind, apply_mask, irm, mask_mse_loss, psm
 from .metrics import MetricReport, seg_snr, si_sdr
 from .network import (ModelConfig, NetworkWeights, count_params, forward,
                       init_params)

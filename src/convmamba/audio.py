@@ -10,11 +10,9 @@ of frames; there is no center padding.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .tensor import Tensor
 
 PIPELINE_RATE = 16000
 
@@ -36,6 +34,8 @@ class Waveform:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1 or self.samples.size < 1:
             raise AudioError("waveform must be a non-empty 1-D signal")
+        if not np.isfinite(self.samples).all():
+            raise AudioError("non-finite samples")
 
     def __len__(self):
         return self.samples.size
@@ -63,31 +63,6 @@ class StftConfig:
         n = np.arange(self.win_length)
         hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / self.win_length)
         return np.sqrt(hann)
-
-
-@dataclass
-class Spectrogram:
-    re: np.ndarray
-    im: np.ndarray
-    cfg: StftConfig = field(default_factory=StftConfig)
-
-    def __post_init__(self):
-        self.re = np.asarray(self.re, dtype=np.float64)
-        self.im = np.asarray(self.im, dtype=np.float64)
-        if self.re.shape != self.im.shape or self.re.ndim != 2:
-            raise AudioError("re/im must be matching 2-D arrays")
-        if self.re.shape[1] != self.cfg.bins:
-            raise AudioError(f"expected {self.cfg.bins} bins, got {self.re.shape[1]}")
-        if not (np.isfinite(self.re).all() and np.isfinite(self.im).all()):
-            raise AudioError("non-finite spectrogram values")
-
-    @property
-    def frames(self) -> int:
-        return self.re.shape[0]
-
-    @property
-    def bins(self) -> int:
-        return self.re.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +109,10 @@ def load_wav(path) -> Waveform:
         raise AudioError(f"{path}: data chunk of {len(data)} bytes is not a whole"
                          f" number of {bits}-bit samples")
     samples = np.frombuffer(data, dtype=dtype).astype(np.float64) / scale
-    return Waveform(samples, rate)
+    try:
+        return Waveform(samples, rate)
+    except AudioError as exc:
+        raise AudioError(f"{path}: {exc}") from None
 
 
 def save_wav(path, wav: Waveform, encoding: str = "pcm16") -> None:
@@ -168,8 +146,9 @@ def num_frames(n_samples: int, cfg: StftConfig) -> int:
     return 1 + int(np.ceil(extra / cfg.hop))
 
 
-def stft(wav: Waveform, cfg: StftConfig | None = None) -> Spectrogram:
-    """One-sided STFT; frame l covers samples [l*hop, l*hop + win_length).
+def stft(wav: Waveform, cfg: StftConfig | None = None) -> np.ndarray:
+    """One-sided complex STFT of shape (frames, bins); frame l covers samples
+    [l*hop, l*hop + win_length).
 
     The signal is end-padded with zeros so the last frame is complete.
     """
@@ -180,22 +159,24 @@ def stft(wav: Waveform, cfg: StftConfig | None = None) -> Spectrogram:
     padded[:x.size] = x
     framed = np.lib.stride_tricks.sliding_window_view(padded, cfg.win_length)[::cfg.hop]
     windowed = framed * cfg.window_values()
-    spec = np.fft.rfft(windowed, n=cfg.fft_size, axis=1)
-    return Spectrogram(spec.real, spec.imag, cfg)
+    return np.fft.rfft(windowed, n=cfg.fft_size, axis=1)
 
 
-def istft(spec: Spectrogram, cfg: StftConfig | None = None,
+def istft(spec: np.ndarray, cfg: StftConfig | None = None,
           out_len: int | None = None) -> Waveform:
-    """Overlap-add synthesis with the analysis window, normalized by its
-    summed squares, truncated to out_len samples."""
-    cfg = cfg or spec.cfg
-    total = (spec.frames - 1) * cfg.hop + cfg.win_length
+    """Overlap-add synthesis of a (frames, bins) complex spectrum with the
+    analysis window, normalized by its summed squares, truncated to out_len
+    samples."""
+    cfg = cfg or StftConfig()
+    if spec.ndim != 2 or spec.shape[1] != cfg.bins:
+        raise AudioError(f"expected (frames, {cfg.bins}) spectrum, got {spec.shape}")
+    total = (spec.shape[0] - 1) * cfg.hop + cfg.win_length
     if out_len is None:
         out_len = total
     if out_len > total:
         raise AudioError(f"out_len {out_len} exceeds reconstructable length {total}")
     win = cfg.window_values()
-    frames_td = np.fft.irfft(spec.re + 1j * spec.im, n=cfg.fft_size, axis=1)
+    frames_td = np.fft.irfft(spec, n=cfg.fft_size, axis=1)
     frames_td = frames_td[:, :cfg.win_length] * win
     out = _overlap_add(frames_td, cfg.hop)
     wsum = _overlap_add(np.broadcast_to(win ** 2, frames_td.shape), cfg.hop)
@@ -226,8 +207,8 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return out.reshape(-1)[:(n - 1) * hop + win]
 
 
-def magnitude(spec: Spectrogram) -> Tensor:
-    return Tensor(np.sqrt(spec.re ** 2 + spec.im ** 2), dtype=spec.re.dtype)
+def magnitude(spec: np.ndarray) -> np.ndarray:
+    return np.sqrt(spec.real ** 2 + spec.imag ** 2)
 
 
 # ---------------------------------------------------------------------------

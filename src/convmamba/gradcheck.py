@@ -92,11 +92,10 @@ def run_suite() -> list[tuple[str, float]]:
             "outer_bias": layer.conv_bias, "ln_gamma": layer.conv_ln_gamma})
 
     y_mag = Tensor(np.abs(rng.standard_normal((6, cfg.bins))) + 0.1, dtype=np.float64)
-    target = Tensor(rng.uniform(0.0, 1.0, (6, cfg.bins)), dtype=np.float64)
+    target = rng.uniform(0.0, 1.0, (6, cfg.bins))
 
     def net_loss():
-        pred = forward(y_mag, weights, cfg).values
-        return mask_mse_loss(pred, target)
+        return mask_mse_loss(forward(y_mag, weights, cfg), target)
 
     net_tensors = {"input": y_mag}
     for p in weights.named_parameters():

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import tensor as tz
 from .layers import LayerWeights, MambaWeights, conv_mamba_layer
-from .masks import Mask, MaskKind
 from .scan import SsmParams, a_log_init, dt_bias_init, dt_rank_for
 from .tensor import Parameter, Tensor
 
@@ -260,9 +259,9 @@ def replica(weights: NetworkWeights, cfg: ModelConfig) -> NetworkWeights:
 # forward passes
 # ---------------------------------------------------------------------------
 
-def forward(y_mag: Tensor, w: NetworkWeights, cfg: ModelConfig,
-            kind: MaskKind = MaskKind.IRM) -> Mask:
-    """Estimate a time-frequency mask from an (L, bins) magnitude input."""
+def forward(y_mag: Tensor, w: NetworkWeights, cfg: ModelConfig) -> Tensor:
+    """Estimate an (L, bins) time-frequency mask in [0, 1] from an (L, bins)
+    magnitude input."""
     if y_mag.data.ndim != 2 or y_mag.data.shape[1] != cfg.bins:
         raise ValueError(f"expected (L, {cfg.bins}) input, got {y_mag.data.shape}")
     outer_padding = "causal" if cfg.outer_conv_causal else "centered"
@@ -271,4 +270,4 @@ def forward(y_mag: Tensor, w: NetworkWeights, cfg: ModelConfig,
     for layer in w.layers:
         x = conv_mamba_layer(x, layer, outer_padding)
     logits = tz.add(tz.matmul(x, w.out_weight), w.out_bias)
-    return Mask(tz.sigmoid(logits), kind)
+    return tz.sigmoid(logits)

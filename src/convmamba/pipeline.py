@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tensor as tz
 from .audio import StftConfig, Waveform, istft, magnitude, mix_at_snr, stft
-from .masks import Mask, MaskKind, apply_mask, mask_target
+from .masks import MaskKind, apply_mask, mask_target
 from .metrics import MetricReport, seg_snr, si_sdr
 from .network import ModelConfig, NetworkWeights, forward
+from .tensor import Tensor
 from .training import WavPool
 
 
@@ -18,11 +18,8 @@ def enhance_waveform(noisy: Waveform, weights: NetworkWeights, cfg: ModelConfig,
     inverse STFT trimmed to the input length. Returns (waveform, mask)."""
     stft_cfg = stft_cfg or StftConfig()
     spec = stft(noisy, stft_cfg)
-    y_mag = tz.Tensor(magnitude(spec).data)  # cast to runtime precision
-    mask = forward(y_mag, weights, cfg)
-    shaped = apply_mask(spec, Mask(tz.Tensor(mask.values.data.astype(np.float64),
-                                             dtype=np.float64), mask.kind))
-    return istft(shaped, stft_cfg, out_len=len(noisy)), mask.values.data
+    mask = forward(Tensor(magnitude(spec)), weights, cfg).data
+    return istft(apply_mask(spec, mask), stft_cfg, out_len=len(noisy)), mask
 
 
 def evaluate_pair(clean: Waveform, noisy: Waveform, mode: str,
@@ -40,8 +37,7 @@ def evaluate_pair(clean: Waveform, noisy: Waveform, mode: str,
         enhanced = noisy
         used_mask = np.ones_like(target)
     elif mode == "oracle":
-        mask = Mask(tz.Tensor(target, dtype=np.float64), target_kind)
-        enhanced = istft(apply_mask(spec_y, mask), stft_cfg, out_len=len(noisy))
+        enhanced = istft(apply_mask(spec_y, target), stft_cfg, out_len=len(noisy))
         used_mask = target
     elif mode == "model":
         enhanced, used_mask = enhance_waveform(noisy, weights, cfg, stft_cfg)

@@ -42,13 +42,8 @@ class TrainConfig:
     lr_base: float = 1e-3
     lr_scale: float = 1.0
     use_warmup: bool = True
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     warmup_steps: int = 40_000
     epochs: int = 150
-    clip_lo: float = -1.0
-    clip_hi: float = 1.0
     seed: int = 0
     max_steps: int = 0        # 0 = run all epochs
     val_items: int = 4
@@ -58,8 +53,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.warmup_steps < 1:
             raise ValueError("batch_size and warmup_steps must be >= 1")
-        if self.clip_lo >= self.clip_hi:
-            raise ValueError("clip range must be ordered")
         if self.snr_lo > self.snr_hi:
             raise ValueError("snr range must be ordered")
 
@@ -86,6 +79,12 @@ def lr_for_step(step: int, d_model: int, cfg: TrainConfig) -> float:
     return cfg.lr_base
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+CLIP = 1.0   # the paper clips gradients elementwise to [-1, 1]
+
+
 @dataclass
 class AdamState:
     m: np.ndarray | None = None   # moments, laid out like the flat parameters
@@ -99,8 +98,8 @@ class AdamState:
 ADAM_BLOCK = 1 << 16
 
 
-def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
-              cfg: TrainConfig) -> None:
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState,
+              lr: float) -> None:
     """Bias-corrected Adam update of a flat parameter array in place, one
     cache-sized block at a time."""
     if grad.shape != params.shape:
@@ -110,8 +109,8 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
     state.step += 1
-    b1 = cfg.beta1
-    b2 = cfg.beta2
+    b1 = ADAM_BETA1
+    b2 = ADAM_BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     tmp_block = np.empty(min(params.size, ADAM_BLOCK), dtype=params.dtype)
@@ -132,18 +131,16 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
         v += tmp
         np.divide(v, c2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += cfg.adam_eps
+        tmp += ADAM_EPS
         np.divide(m, c1, out=update)
         update *= lr
         update /= tmp
         p -= update
 
 
-def clip_gradients(grad: np.ndarray, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
-    """Clip a flat gradient to [lo, hi] in place."""
-    if lo >= hi:
-        raise ValueError("clip range must be ordered")
-    return np.clip(grad, lo, hi, out=grad)
+def clip_gradients(grad: np.ndarray) -> np.ndarray:
+    """Clip a flat gradient to [-CLIP, CLIP] in place."""
+    return np.clip(grad, -CLIP, CLIP, out=grad)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +204,8 @@ def sample_mixture(clean_pool: WavPool, noise_pool: WavPool, cfg: TrainConfig,
             continue
         spec_y, target = mask_target(clean, noisy, cfg.target, stft_cfg)
         meta = dict(clean=str(clean_pool.paths[ci]), noise=str(noise_pool.paths[ni]),
-                    snr_db=snr_db, n_samples=len(clean), frames=spec_y.frames)
-        return TrainItem(magnitude(spec_y).data, target, meta)
+                    snr_db=snr_db, n_samples=len(clean), frames=spec_y.shape[0])
+        return TrainItem(magnitude(spec_y), target, meta)
     raise DegenerateSignalError("10 consecutive degenerate mixture draws")
 
 
@@ -222,8 +219,7 @@ def make_batch(items: list[TrainItem]) -> list[TrainItem]:
 
 def _item_loss(item: TrainItem, weights: NetworkWeights,
                cfg: ModelConfig) -> Tensor:
-    pred = forward(Tensor(item.noisy_mag), weights, cfg).values
-    return mask_mse_loss(pred, Tensor(item.target))
+    return mask_mse_loss(forward(Tensor(item.noisy_mag), weights, cfg), item.target)
 
 
 def batch_loss(batch: list[TrainItem], weights: NetworkWeights,
@@ -358,10 +354,10 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
                          for ci in chunk]
                 batch = make_batch(items)
                 last_loss = batch_gradients(batch, weights, model_cfg, workers)
-                clip_gradients(weights.flat_grad, train_cfg.clip_lo, train_cfg.clip_hi)
+                clip_gradients(weights.flat_grad)
                 step += 1
                 lr = lr_for_step(step, model_cfg.d_model, train_cfg)
-                adam_step(weights.flat, weights.flat_grad, adam, lr, train_cfg)
+                adam_step(weights.flat, weights.flat_grad, adam, lr)
                 log.write(f"{step},{epoch},train,{last_loss:.10e},{lr:.10e}\n")
                 if train_cfg.max_steps and step >= train_cfg.max_steps:
                     stop = True

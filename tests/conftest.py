@@ -47,6 +47,15 @@ def write_corpus(root, n_clean=3, n_noise=2, seconds=0.5, seed=0):
     return clean_dir, noise_dir
 
 
+def write_nan_wav(path, n=4000, at=1234):
+    """A float32 WAV whose sample `at` is patched to a NaN."""
+    save_wav(path, Waveform(np.full(n, 0.1)), encoding="float32")
+    raw = bytearray(path.read_bytes())
+    raw[44 + 4 * at:48 + 4 * at] = np.array(np.nan, dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    return path
+
+
 @pytest.fixture
 def corpus(tmp_path):
     return write_corpus(tmp_path)

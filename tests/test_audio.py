@@ -7,6 +7,8 @@ from convmamba.audio import (AudioError, DegenerateSignalError, StftConfig,
                              Waveform, istft, load_wav, magnitude, mix_at_snr,
                              num_frames, save_wav, stft)
 
+from conftest import write_nan_wav
+
 
 def rand_wave(rng, seconds=1.0, rate=16000):
     n = int(seconds * rate)
@@ -80,16 +82,25 @@ def test_wav_odd_pcm16_byte_count_rejected(tmp_path):
     assert str(path) in str(err.value)
 
 
+def test_non_finite_wav_rejected_naming_the_file(tmp_path):
+    path = write_nan_wav(tmp_path / "nan.wav")
+    with pytest.raises(AudioError, match="non-finite") as err:
+        load_wav(path)
+    assert str(path) in str(err.value)
+    with pytest.raises(AudioError, match="non-finite"):
+        Waveform(np.array([0.0, np.inf]))
+
+
 def test_stft_zero_input():
     spec = stft(Waveform(np.zeros(4000)))
-    assert np.max(np.abs(spec.re)) == 0.0 and np.max(np.abs(spec.im)) == 0.0
-    assert spec.bins == 257
+    assert np.max(np.abs(spec.real)) == 0.0 and np.max(np.abs(spec.imag)) == 0.0
+    assert spec.shape[1] == 257
 
 
 def test_frame_count_formula():
     cfg = StftConfig()
     assert num_frames(1024, cfg) == 3
-    assert stft(Waveform(np.ones(1024) * 0.1), cfg).frames == 3
+    assert stft(Waveform(np.ones(1024) * 0.1), cfg).shape[0] == 3
     assert num_frames(512, cfg) == 1
     assert num_frames(100, cfg) == 1
     assert num_frames(513, cfg) == 2
@@ -99,7 +110,7 @@ def test_sinusoid_hits_expected_bin():
     # 1000 Hz at 16 kHz with a 512-point DFT lands exactly on bin 32
     t = np.arange(16000) / 16000.0
     spec = stft(Waveform(0.5 * np.sin(2 * np.pi * 1000.0 * t)))
-    mags = magnitude(spec).data
+    mags = magnitude(spec)
     assert (mags.argmax(axis=1) == 32).all()
 
 
@@ -129,12 +140,12 @@ def _gather_stft(x, cfg):
 
 def _add_at_istft(spec, cfg):
     win = cfg.window_values()
-    frames_td = np.fft.irfft(spec.re + 1j * spec.im, n=cfg.fft_size, axis=1)
+    frames_td = np.fft.irfft(spec, n=cfg.fft_size, axis=1)
     frames_td = frames_td[:, :cfg.win_length] * win
-    total = (spec.frames - 1) * cfg.hop + cfg.win_length
+    total = (spec.shape[0] - 1) * cfg.hop + cfg.win_length
     out = np.zeros(total)
     wsum = np.zeros(total)
-    idx = np.arange(spec.frames)[:, None] * cfg.hop + np.arange(cfg.win_length)[None, :]
+    idx = np.arange(spec.shape[0])[:, None] * cfg.hop + np.arange(cfg.win_length)[None, :]
     np.add.at(out, idx, frames_td)
     np.add.at(wsum, idx, np.broadcast_to(win ** 2, idx.shape))
     covered = wsum > 1e-10
@@ -151,8 +162,8 @@ def test_stft_and_istft_match_gather_and_add_at_oracles_bitwise(win, hop):
         x = rng.uniform(-0.9, 0.9, n)
         spec = stft(Waveform(x), cfg)
         re, im = _gather_stft(x, cfg)
-        assert spec.re.tobytes() == re.tobytes() and spec.im.tobytes() == im.tobytes()
-        assert istft(spec).samples.tobytes() == _add_at_istft(spec, cfg).tobytes()
+        assert spec.real.tobytes() == re.tobytes() and spec.imag.tobytes() == im.tobytes()
+        assert istft(spec, cfg).samples.tobytes() == _add_at_istft(spec, cfg).tobytes()
 
 
 def test_istft_zero_spectrogram():
@@ -167,15 +178,23 @@ def test_istft_out_len_limit():
         istft(spec, out_len=10 ** 6)
 
 
+def test_istft_rejects_bin_count_mismatch():
+    # irfft(n=fft_size) would silently pad or truncate a mismatched spectrum
+    spec = stft(Waveform(np.ones(1000) * 0.1), StftConfig(256, 128, 256))
+    assert spec.shape[1] == 129
+    with pytest.raises(AudioError, match="257"):
+        istft(spec)
+
+
 def test_stft_istft_stft_idempotent():
     rng = np.random.default_rng(9)
     wav = rand_wave(rng, seconds=0.5)
     s1 = stft(wav)
     wav2 = istft(s1, out_len=len(wav))
     s2 = stft(wav2)
-    scale = np.max(np.hypot(s1.re, s1.im))
-    assert np.max(np.abs(s2.re - s1.re)) / scale < 1e-6
-    assert np.max(np.abs(s2.im - s1.im)) / scale < 1e-6
+    scale = np.max(np.hypot(s1.real, s1.imag))
+    assert np.max(np.abs(s2.real - s1.real)) / scale < 1e-6
+    assert np.max(np.abs(s2.imag - s1.imag)) / scale < 1e-6
 
 
 def test_parseval_per_frame():
@@ -184,33 +203,24 @@ def test_parseval_per_frame():
     wav = rand_wave(rng, seconds=0.3)
     spec = stft(wav, cfg)
     win = cfg.window_values()
-    padded = np.zeros((spec.frames - 1) * cfg.hop + cfg.win_length)
+    padded = np.zeros((spec.shape[0] - 1) * cfg.hop + cfg.win_length)
     padded[:len(wav)] = wav.samples
     weights = np.full(cfg.bins, 2.0)
     weights[0] = weights[-1] = 1.0  # conjugate-symmetry weights for one-sided spectra
-    for l in range(spec.frames):
+    for l in range(spec.shape[0]):
         frame = padded[l * cfg.hop:l * cfg.hop + cfg.win_length] * win
         time_energy = np.sum(frame ** 2)
-        spec_energy = np.sum(weights * (spec.re[l] ** 2 + spec.im[l] ** 2)) / cfg.fft_size
+        spec_energy = np.sum(weights * (spec.real[l] ** 2 + spec.imag[l] ** 2)) / cfg.fft_size
         assert abs(time_energy - spec_energy) <= 1e-8 * max(1.0, time_energy)
 
 
 def test_magnitude_conventions():
-    spec = Spectrogram_from(np.array([[3.0, 0.0]]), np.array([[4.0, 0.0]]))
-    mags = magnitude(spec).data
+    mags = magnitude(np.array([[3.0 + 4.0j, 0.0]]))
     assert mags[0, 0] == 5.0 and mags[0, 1] == 0.0
     rng = np.random.default_rng(3)
     re = rng.standard_normal((4, 257))
     im = rng.standard_normal((4, 257))
-    sp = Spectrogram_from(re, im)
-    np.testing.assert_allclose(magnitude(sp).data, np.sqrt(re ** 2 + im ** 2), atol=1e-15)
-
-
-def Spectrogram_from(re2, im2):
-    from convmamba.audio import Spectrogram
-    k = re2.shape[1]
-    cfg = StftConfig(win_length=2 * (k - 1), hop=k - 1, fft_size=2 * (k - 1))
-    return Spectrogram(re2, im2, cfg)
+    np.testing.assert_allclose(magnitude(re + 1j * im), np.sqrt(re ** 2 + im ** 2), atol=1e-15)
 
 
 def test_mix_gain_closed_form():

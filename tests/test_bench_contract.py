@@ -1,4 +1,5 @@
-"""The names that perfbench binds in the package, and the calls it counts.
+"""The names that perfbench binds in the package, the call shapes it uses,
+and the calls it counts.
 
 perfbench/spec.py lists the functions a traced run wraps, and its StepClock
 wraps training.make_batch and training.adam_step in every run; a missing
@@ -9,9 +10,17 @@ import importlib
 import runpy
 from pathlib import Path
 
-from convmamba import training
-from convmamba.network import ModelConfig
-from convmamba.training import TrainConfig, WavPool, list_pool, train_loop
+import numpy as np
+
+from convmamba import masks, training
+from convmamba.audio import StftConfig
+from convmamba.network import ModelConfig, init_params
+from convmamba.pipeline import enhance_waveform
+from convmamba.tensor import Tensor
+from convmamba.training import (TrainConfig, WavPool, list_pool, sample_mixture,
+                                train_loop)
+
+from conftest import synth_speechlike
 
 SPEC = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"))
 
@@ -40,3 +49,32 @@ def test_make_batch_runs_once_per_train_step(corpus, tmp_path, monkeypatch):
                         tmp_path / "run")
     assert result.steps == 3
     assert calls == [1, 1, 1]
+
+
+def test_enhance_waveform_call_shape():
+    # the enhance workload calls it positionally with a fresh StftConfig and
+    # checks the samples and the mask it returns
+    cfg = ModelConfig(d_model=8, n_layers=1, n_state=4)
+    noisy = synth_speechlike(np.random.default_rng(3), seconds=0.25)
+    enhanced, mask = enhance_waveform(noisy, init_params(cfg, 0), cfg, StftConfig())
+    assert isinstance(enhanced.samples, np.ndarray) and len(enhanced) == len(noisy)
+    assert isinstance(mask, np.ndarray) and mask.shape[1] == cfg.bins
+    assert 0.0 <= mask.min() and mask.max() <= 1.0
+
+
+def test_sample_mixture_reports_n_samples(corpus):
+    # StepClock reads each item's meta["n_samples"] to count audio seconds
+    clean_dir, noise_dir = corpus
+    clean = WavPool(list_pool(clean_dir))
+    item = sample_mixture(clean, WavPool(list_pool(noise_dir)), TrainConfig(),
+                          np.random.default_rng(0), clean_index=0)
+    assert item.meta["n_samples"] == len(clean.load(0))
+
+
+def test_traced_mask_functions_take_arrays():
+    s_mag = np.array([[3.0, 0.0]])
+    mask = masks.irm(s_mag, np.array([[4.0, 1.0]]))
+    spec = masks.apply_mask(np.array([[1.0 + 2.0j, 3.0 - 1.0j]]), mask)
+    assert spec.shape == (1, 2) and np.iscomplexobj(spec)
+    pred = Tensor(mask, dtype=np.float64)
+    assert masks.mask_mse_loss(pred, mask).item() == 0.0

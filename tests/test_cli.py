@@ -11,7 +11,7 @@ from convmamba.network import ModelConfig, init_params
 from convmamba.runconfig import (ConfigError, build_run_config,
                                  parse_config_text, parse_overrides)
 
-from conftest import synth_speechlike, write_corpus
+from conftest import synth_speechlike, write_corpus, write_nan_wav
 
 
 def run(*argv):
@@ -48,6 +48,10 @@ def test_config_unknown_key_rejected():
         parse_config_text("model.dmodel = 3\n")
     with pytest.raises(ConfigError, match="foo.bar"):
         parse_overrides(["foo.bar=1"])
+    # Adam's constants and the paper's [-1, 1] clip are fixed in training
+    for key in ("beta1", "beta2", "adam_eps", "clip_lo", "clip_hi"):
+        with pytest.raises(ConfigError, match=f"train.{key}"):
+            parse_overrides([f"train.{key}=0.9"])
 
 
 def test_config_bad_values():
@@ -65,6 +69,9 @@ def test_cli_unknown_config_key_exit_2(tmp_path, capsys):
     assert run("--config", str(cfg), "train") == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "model.nonsense" in err
+    assert run("--set", "train.beta1=0.9", "train") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown config key 'train.beta1'" in err
 
 
 def test_cli_missing_noise_dir_exit_2(tmp_path, capsys):
@@ -127,6 +134,24 @@ def test_cli_enhance_rejects_bad_inputs(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
     assert run("enhance", str(tmp_path / "missing.ckpt"),
                str(bad), str(tmp_path / "o.wav")) == 2
+
+
+def test_cli_non_finite_wav_names_the_file(tmp_path, capsys):
+    bad = write_nan_wav(tmp_path / "nan.wav")
+    ckpt = small_ckpt(tmp_path)
+    assert run("enhance", str(ckpt), str(bad), str(tmp_path / "o.wav")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(bad) in err[0]
+    clean_dir, noise_dir = write_corpus(tmp_path / "data", n_clean=1, n_noise=1)
+    bad_clean = write_nan_wav(clean_dir / "clean_00.wav", n=8000)
+    assert run("--set", f"data.clean_dir={clean_dir}",
+               "--set", f"data.noise_dir={noise_dir}",
+               "--set", f"out.dir={tmp_path / 'run'}",
+               "--set", "model.d_model=8", "--set", "model.n_layers=1",
+               "--set", "train.epochs=1", "--set", "train.val_items=1",
+               "train") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(bad_clean) in err[0]
 
 
 def test_cli_eval_oracle_gain_and_determinism(tmp_path):

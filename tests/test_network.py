@@ -24,7 +24,7 @@ def test_forward_mask_range_and_shape():
     w = init_params(cfg, 0, dtype=np.float64)
     rng = np.random.default_rng(1)
     mask = forward(t64(np.abs(rng.standard_normal((12, 17)))), w, cfg)
-    v = mask.values.data
+    v = mask.data
     assert v.shape == (12, 17)
     assert v.min() > 0.0 and v.max() < 1.0
 
@@ -41,8 +41,8 @@ def test_forward_deterministic_bitwise():
     w = init_params(cfg, 3, dtype=np.float64)
     rng = np.random.default_rng(2)
     y = np.abs(rng.standard_normal((9, 17)))
-    m1 = forward(t64(y), w, cfg).values.data
-    m2 = forward(t64(y), w, cfg).values.data
+    m1 = forward(t64(y), w, cfg).data
+    m2 = forward(t64(y), w, cfg).data
     np.testing.assert_array_equal(m1, m2)
 
 
@@ -54,8 +54,8 @@ def test_forward_fully_causal_config():
     y2 = y1.copy()
     t0 = 9
     y2[t0] += 1.0
-    m1 = forward(t64(y1), w, cfg).values.data
-    m2 = forward(t64(y2), w, cfg).values.data
+    m1 = forward(t64(y1), w, cfg).data
+    m2 = forward(t64(y2), w, cfg).data
     np.testing.assert_array_equal(m1[:t0], m2[:t0])
     assert np.abs(m1[t0:] - m2[t0:]).max() > 0
 
@@ -68,8 +68,8 @@ def test_forward_centered_conv_leaks_one_frame_back():
     y2 = y1.copy()
     t0 = 9
     y2[t0] += 1.0
-    m1 = forward(t64(y1), w, cfg).values.data
-    m2 = forward(t64(y2), w, cfg).values.data
+    m1 = forward(t64(y1), w, cfg).data
+    m2 = forward(t64(y2), w, cfg).data
     # two centered width-3 convs reach two frames back, no further
     np.testing.assert_array_equal(m1[:t0 - 2], m2[:t0 - 2])
 
@@ -92,7 +92,7 @@ def test_bidirectional_palindrome_probe():
     rng = np.random.default_rng(8)
     half = np.abs(rng.standard_normal((6, 17)))
     y = np.vstack([half, half[::-1]])
-    mask = forward(t64(y), w, cfg).values.data
+    mask = forward(t64(y), w, cfg).data
     np.testing.assert_allclose(mask, mask[::-1], atol=1e-10)
 
 
@@ -122,8 +122,8 @@ def test_bidirectional_reduces_to_unidirectional_with_zero_reverse():
         getattr(uni, name).data[:] = getattr(w, name).data
     rng = np.random.default_rng(10)
     y = np.abs(rng.standard_normal((11, 17)))
-    m_bi = forward(t64(y), w, cfg).values.data
-    m_uni = forward(t64(y), uni, uni_cfg).values.data
+    m_bi = forward(t64(y), w, cfg).data
+    m_uni = forward(t64(y), uni, uni_cfg).data
     np.testing.assert_allclose(m_bi, m_uni, atol=1e-12)
     assert m_bi.shape == (11, 17)
 
@@ -183,10 +183,10 @@ def test_bidirectional_with_skip_gradients():
     w = init_params(cfg, 11, dtype=np.float64)
     rng = np.random.default_rng(2)
     y = Tensor(np.abs(rng.standard_normal((5, 17))) + 0.1, dtype=np.float64)
-    target = Tensor(rng.uniform(0, 1, (5, 17)), dtype=np.float64)
+    target = rng.uniform(0, 1, (5, 17))
 
     def loss():
-        return mask_mse_loss(forward(y, w, cfg).values, target)
+        return mask_mse_loss(forward(y, w, cfg), target)
 
     tensors = [p.tensor for p in w.named_parameters()] + [y]
     assert max(finite_diff_check(lambda _: loss(), t) for t in tensors) < 1e-4
@@ -237,8 +237,8 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert cfg2 == cfg
     rng = np.random.default_rng(1)
     y = Tensor(np.abs(rng.standard_normal((6, 17))))
-    m1 = forward(y, w, cfg).values.data
-    m2 = forward(y, w2, cfg2).values.data
+    m1 = forward(y, w, cfg).data
+    m2 = forward(y, w2, cfg2).data
     np.testing.assert_array_equal(m1, m2)
 
 

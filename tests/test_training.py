@@ -12,7 +12,8 @@ from convmamba.masks import MaskKind
 from convmamba.network import ModelConfig, init_params, replica
 from convmamba import training
 from convmamba.tensor import Parameter, Tape, Tensor, backward
-from convmamba.training import (ADAM_BLOCK, AdamState, TrainConfig,
+from convmamba.training import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS,
+                                CLIP, AdamState, TrainConfig,
                                 WavPool, adam_step, batch_gradients, batch_loss,
                                 clip_gradients, list_pool, make_batch,
                                 sample_mixture, train_loop, warmup_lr,
@@ -54,7 +55,7 @@ def test_adam_first_step_is_signed_lr():
     p = _param([1.0])
     p.tensor.grad = np.array([2.0])  # d(x^2)/dx at x=1
     state = AdamState()
-    adam_step(p.tensor.data, p.tensor.grad, state, 0.1, TrainConfig())
+    adam_step(p.tensor.data, p.tensor.grad, state, 0.1)
     assert p.tensor.data[0] == pytest.approx(0.9, abs=1e-8)
     assert state.step == 1
 
@@ -62,29 +63,28 @@ def test_adam_first_step_is_signed_lr():
 def test_adam_zero_gradient_is_noop():
     p = _param([0.7])
     p.tensor.grad = np.zeros(1)
-    adam_step(p.tensor.data, p.tensor.grad, AdamState(), 0.1, TrainConfig())
+    adam_step(p.tensor.data, p.tensor.grad, AdamState(), 0.1)
     assert p.tensor.data[0] == 0.7
     q = _param([0.7])  # batch_gradients fills a missing gradient with zeros
-    adam_step(q.tensor.data, np.zeros(1), AdamState(), 0.1, TrainConfig())
+    adam_step(q.tensor.data, np.zeros(1), AdamState(), 0.1)
     assert q.tensor.data[0] == 0.7
 
 
 def test_adam_converges_on_quadratic():
     p = _param([1.0])
     state = AdamState()
-    cfg = TrainConfig()
     for _ in range(200):
         p.tensor.grad = 2.0 * p.tensor.data
-        adam_step(p.tensor.data, p.tensor.grad, state, 0.1, cfg)
+        adam_step(p.tensor.data, p.tensor.grad, state, 0.1)
     assert abs(p.tensor.data[0]) < 1e-2
 
 
-def _reference_adam(params, state, lr, cfg):
+def _reference_adam(params, state, lr):
     """Adam one parameter at a time, as the optimizer ran before its state
     became flat; a missing gradient counts as zero."""
     state["step"] += 1
-    c1 = 1.0 - cfg.beta1 ** state["step"]
-    c2 = 1.0 - cfg.beta2 ** state["step"]
+    c1 = 1.0 - ADAM_BETA1 ** state["step"]
+    c2 = 1.0 - ADAM_BETA2 ** state["step"]
     for p in params:
         data = p.tensor.data
         g = p.tensor.grad
@@ -92,11 +92,11 @@ def _reference_adam(params, state, lr, cfg):
             g = np.zeros_like(data)
         m = state["m"].setdefault(p.name, np.zeros_like(data))
         v = state["v"].setdefault(p.name, np.zeros_like(data))
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        data -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -109,7 +109,6 @@ def test_flat_adam_matches_per_parameter_reference_bitwise(dtype):
     ref = [Parameter(f"p{i}", Tensor(1e-3 * rng.standard_normal(s), dtype=dtype))
            for i, s in enumerate(shapes)]
     flat = np.concatenate([p.tensor.data.ravel() for p in ref])
-    cfg = TrainConfig()
     ref_state = dict(m={}, v={}, step=0)
     state = AdamState()
     missing = 2
@@ -123,8 +122,8 @@ def test_flat_adam_matches_per_parameter_reference_bitwise(dtype):
         flat_grad = np.concatenate([np.zeros(s, dtype).ravel() if g is None
                                     else g.ravel() for s, g in zip(shapes, grads)])
         lr = 1e-3 * (step + 1)
-        _reference_adam(ref, ref_state, lr, cfg)
-        adam_step(flat, flat_grad, state, lr, cfg)
+        _reference_adam(ref, ref_state, lr)
+        adam_step(flat, flat_grad, state, lr)
         assert state.step == ref_state["step"] == step + 1
         for name, got in (("params", flat), ("m", state.m), ("v", state.v)):
             want = (np.concatenate([p.tensor.data.ravel() for p in ref]) if name == "params"
@@ -135,19 +134,18 @@ def test_flat_adam_matches_per_parameter_reference_bitwise(dtype):
 
 def test_adam_rejects_mismatched_gradient():
     with pytest.raises(ValueError, match="does not match"):
-        adam_step(np.zeros(4), np.zeros(3), AdamState(), 0.1, TrainConfig())
+        adam_step(np.zeros(4), np.zeros(3), AdamState(), 0.1)
 
 
 def test_clip_gradients():
     p = _param([1.0, 1.0, 1.0])
     p.tensor.grad = np.array([5.0, -3.0, 0.25])
-    clip_gradients(p.tensor.grad, -1.0, 1.0)
+    assert CLIP == 1.0  # the paper's [-1, 1]
+    clip_gradients(p.tensor.grad)
     np.testing.assert_array_equal(p.tensor.grad, [1.0, -1.0, 0.25])
     before = p.tensor.grad.copy()
-    clip_gradients(p.tensor.grad, -1.0, 1.0)  # idempotent
+    clip_gradients(p.tensor.grad)  # idempotent
     np.testing.assert_array_equal(p.tensor.grad, before)
-    with pytest.raises(ValueError):
-        clip_gradients(p.tensor.grad, 1.0, -1.0)
 
 
 def pools(corpus):
@@ -235,8 +233,8 @@ def test_batched_loss_is_mean_of_items(corpus):
         total = batch_loss(make_batch(items), weights, mcfg).item()
         singles = []
         for item in items:
-            pred = forward(Tensor(item.noisy_mag), weights, mcfg).values
-            singles.append(mask_mse_loss(pred, Tensor(item.target)).item())
+            pred = forward(Tensor(item.noisy_mag), weights, mcfg)
+            singles.append(mask_mse_loss(pred, item.target).item())
     assert abs(total - float(np.mean(singles))) < 1e-10
 
 
@@ -408,7 +406,7 @@ def test_replica_shares_arrays_and_sees_adam_step():
     assert all(p.name == q.name and p.tensor.data is q.tensor.data
                and p.tensor is not q.tensor for p, q in pairs)
     assert rep.flat is weights.flat and rep.flat_grad is None
-    adam_step(weights.flat, np.ones_like(weights.flat), AdamState(), 1e-2, TrainConfig())
+    adam_step(weights.flat, np.ones_like(weights.flat), AdamState(), 1e-2)
     for p, q in pairs:
         np.testing.assert_array_equal(q.tensor.data, p.tensor.data)
         assert q.tensor.grad is None
@@ -436,8 +434,10 @@ def test_batch_gradients_are_views_into_one_flat_gradient(corpus):
         batch_gradients(batch, weights, mcfg, workers)  # the buffer is reused
         assert weights.flat_grad is flat_grad
         np.testing.assert_array_equal(flat_grad, first)
-        clip_gradients(flat_grad, -1e-3, 1e-3)
-        assert all(np.abs(p.tensor.grad).max() <= 1e-3
+        flat_grad *= 1e3  # so that the fixed clip cuts some entries
+        assert np.abs(flat_grad).max() > CLIP
+        clip_gradients(flat_grad)
+        assert all(np.abs(p.tensor.grad).max() <= CLIP
                    for p in weights.named_parameters())
 
 
