@@ -162,12 +162,10 @@ def stft(wav: Waveform, cfg: StftConfig | None = None) -> np.ndarray:
     return np.fft.rfft(windowed, n=cfg.fft_size, axis=1)
 
 
-def istft(spec: np.ndarray, cfg: StftConfig | None = None,
-          out_len: int | None = None) -> Waveform:
-    """Overlap-add synthesis of a (frames, bins) complex spectrum with the
-    analysis window, normalized by its summed squares, truncated to out_len
-    samples."""
-    cfg = cfg or StftConfig()
+def istft(spec: np.ndarray, cfg: StftConfig, out_len: int | None = None) -> Waveform:
+    """Overlap-add synthesis of a (frames, bins) complex spectrum analysed
+    with cfg, using the analysis window normalized by its summed squares,
+    truncated to out_len samples."""
     if spec.ndim != 2 or spec.shape[1] != cfg.bins:
         raise AudioError(f"expected (frames, {cfg.bins}) spectrum, got {spec.shape}")
     total = (spec.shape[0] - 1) * cfg.hop + cfg.win_length

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as tz
 from .scan import SsmParams, selective_scan_seq, ssm_parameterize
-from .tensor import Tensor, _accum
+from .tensor import Tensor
 
 
 def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor,
@@ -48,18 +48,19 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor,
     out_data += bias.data
 
     def bwd(g):
+        dx = dk = db = None
         if kernel.requires_grad:
             dk = np.empty_like(kernel.data)
             for j in range(width):
                 dk[:, j] = (g * xp[j:j + length]).sum(axis=0)
-            _accum(kernel, dk)
         if bias.requires_grad:
-            _accum(bias, g.sum(axis=0))
+            db = g.sum(axis=0)
         if x.requires_grad:
             dxp = np.zeros_like(xp)
             for j in range(width):
                 dxp[j:j + length] += g * kernel.data[:, j]
-            _accum(x, dxp[offset:offset + length])
+            dx = dxp[offset:offset + length]
+        return dx, dk, db
 
     return tz._finish("depthwise_conv1d", out_data, (x, kernel, bias), bwd)
 

@@ -84,10 +84,6 @@ class NetworkWeights:
     def named_parameters(self) -> list[Parameter]:
         return self._named
 
-    def zero_grads(self) -> None:
-        for p in self._named:
-            p.tensor.zero_grad()
-
     def grad_views(self) -> list[np.ndarray]:
         """One view per parameter into flat_grad; both are made on the first
         call and reused after it."""
@@ -244,15 +240,6 @@ def init_params(cfg: ModelConfig, seed: int, dtype=None) -> NetworkWeights:
 
     _walk(cfg, draw)
     return build_weights(cfg, flat, views)
-
-
-def replica(weights: NetworkWeights, cfg: ModelConfig) -> NetworkWeights:
-    """A weight tree over the same parameter arrays, not copies, whose tensors
-    keep their own gradients: one thread's tapes accumulate into a replica
-    while another's accumulate into the original, and an in-place update of
-    either's arrays shows in both. It has no flat_grad of its own."""
-    return build_weights(cfg, weights.flat,
-                         [p.tensor.data for p in weights.named_parameters()])
 
 
 # ---------------------------------------------------------------------------

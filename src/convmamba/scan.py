@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .tensor import Tensor, _accum
+from .tensor import Tensor
 
 
 @dataclass
@@ -178,8 +178,6 @@ def selective_scan_seq(u: Tensor, si: SelectiveInputs, p: SsmParams) -> Tensor:
         boundary[k + 1] = hc[-1]
     z += udata * p.d_skip.data
 
-    inputs = (u, si.delta, si.b, si.c, p.a_log, p.d_skip)
-
     def bwd(g):
         g_u = g * p.d_skip.data
         g_delta = np.empty_like(delta)
@@ -219,9 +217,7 @@ def selective_scan_seq(u: Tensor, si: SelectiveInputs, p: SsmParams) -> Tensor:
             g_a += np.einsum("tnd,td->nd", hc, delta[t0:t1])
             sc *= lc
             g_a -= sc.sum(axis=0)
-        grads = (g_u, g_delta, g_b, g_c, g_a.T, (g * udata).sum(axis=0))
-        for t, grad in zip(inputs, grads):
-            if t.requires_grad:
-                _accum(t, grad)
+        return g_u, g_delta, g_b, g_c, g_a.T, (g * udata).sum(axis=0)
 
-    return tz._finish("selective_scan", z, inputs, bwd)
+    return tz._finish("selective_scan", z,
+                      (u, si.delta, si.b, si.c, p.a_log, p.d_skip), bwd)

@@ -32,7 +32,7 @@ def default_dtype():
 class Tensor:
     """N-dimensional float array, optionally participating in a gradient tape."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype if dtype is not None else _DEFAULT_DTYPE)
@@ -40,7 +40,6 @@ class Tensor:
             raise ValueError("tensor construction from non-finite values")
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
 
     @classmethod
     def _checked(cls, data: np.ndarray, requires_grad: bool) -> "Tensor":
@@ -48,7 +47,6 @@ class Tensor:
         t = cls.__new__(cls)
         t.data = np.asarray(data)
         t.requires_grad = requires_grad
-        t.grad = None
         return t
 
     @property
@@ -61,9 +59,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -91,7 +86,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._ops: list[tuple[Tensor, callable]] = []
+        self._ops: list[tuple[Tensor, tuple, callable]] = []
         self.consumed = False
 
     def __enter__(self) -> "Tape":
@@ -102,8 +97,8 @@ class Tape:
         popped = _TAPES.stack.pop()
         assert popped is self
 
-    def record(self, out: Tensor, backward_fn) -> None:
-        self._ops.append((out, backward_fn))
+    def record(self, out: Tensor, inputs, backward_fn) -> None:
+        self._ops.append((out, inputs, backward_fn))
 
     def __len__(self) -> int:
         return len(self._ops)
@@ -124,37 +119,48 @@ def _active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
-    else:
-        t.grad += g
-
-
 def _finish(op_name: str, out_data: np.ndarray, inputs, backward_fn) -> Tensor:
-    """Wrap an op result; register the adjoint if a tape is live and needed."""
+    """Wrap an op result; register the adjoint if a tape is live and needed.
+
+    backward_fn maps the output's gradient to one gradient per input, None
+    for an input it skips.
+    """
     if not np.isfinite(out_data).all():
         raise ValueError(f"non-finite values produced by {op_name}")
     tape = _active_tape()
     needs = any(t.requires_grad for t in inputs)
     out = Tensor._checked(out_data, needs and tape is not None)
     if tape is not None and needs:
-        tape.record(out, backward_fn)
+        tape.record(out, inputs, backward_fn)
     return out
 
 
-def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate .grad on every tensor that the scalar loss depends on."""
+def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
+    """Gradients of the scalar loss, keyed by each leaf tensor it depends on
+    that requires a gradient.
+
+    Ops run in reverse tape order and each sums into its inputs in input
+    order; an op's output gradient is freed once its adjoint has run.
+    """
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss")
     if tape.consumed:
         raise RuntimeError("tape already consumed by a previous backward pass")
     tape.consumed = True
-    loss.grad = np.ones_like(loss.data)
-    for out, backward_fn in reversed(tape._ops):
-        if out.grad is None:
+    grads = {loss: np.ones_like(loss.data)}
+    for out, inputs, backward_fn in reversed(tape._ops):
+        g = grads.pop(out, None)
+        if g is None:
             continue
-        backward_fn(out.grad)
+        for t, gt in zip(inputs, backward_fn(g)):
+            if gt is None or not t.requires_grad:
+                continue
+            if t in grads:
+                grads[t] += gt
+            else:
+                # a copy: adjoints may return views, or one array twice
+                grads[t] = np.array(gt, dtype=t.data.dtype, copy=True)
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +173,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _finish("matmul", out_data, (a, b), bwd)
 
@@ -181,10 +185,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, g if b.data.shape == g.shape else g.sum(axis=0))
+        if not b.requires_grad:
+            return g, None
+        return g, g if b.data.shape == g.shape else g.sum(axis=0)
 
     return _finish("add", out_data, (a, b), bwd)
 
@@ -194,10 +197,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data - b.data
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, -g if b.data.shape == g.shape else -g.sum(axis=0))
+        if not b.requires_grad:
+            return g, None
+        return g, -g if b.data.shape == g.shape else -g.sum(axis=0)
 
     return _finish("sub", out_data, (a, b), bwd)
 
@@ -207,11 +209,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g * b.data)
-        if b.requires_grad:
-            gb = g * a.data
-            _accum(b, gb if b.data.shape == gb.shape else gb.sum(axis=0))
+        ga = g * b.data if a.requires_grad else None
+        if not b.requires_grad:
+            return ga, None
+        gb = g * a.data
+        return ga, gb if b.data.shape == gb.shape else gb.sum(axis=0)
 
     return _finish("mul", out_data, (a, b), bwd)
 
@@ -228,8 +230,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     out_data = x.data * x.data.dtype.type(c)
 
     def bwd(g):
-        if x.requires_grad:
-            _accum(x, g * x.data.dtype.type(c))
+        return (g * x.data.dtype.type(c),)
 
     return _finish("scale", out_data, (x,), bwd)
 
@@ -238,8 +239,7 @@ def sum_all(x: Tensor) -> Tensor:
     out_data = np.asarray(x.data.sum(), dtype=x.data.dtype)
 
     def bwd(g):
-        if x.requires_grad:
-            _accum(x, np.broadcast_to(g, x.data.shape))
+        return (np.broadcast_to(g, x.data.shape),)
 
     return _finish("sum_all", out_data, (x,), bwd)
 
@@ -248,8 +248,7 @@ def relu(x: Tensor) -> Tensor:
     out_data = np.maximum(x.data, 0)
 
     def bwd(g):
-        if x.requires_grad:
-            _accum(x, g * (x.data > 0))
+        return (g * (x.data > 0),)
 
     return _finish("relu", out_data, (x,), bwd)
 
@@ -271,8 +270,7 @@ def sigmoid(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
 
     def bwd(g):
-        if x.requires_grad:
-            _accum(x, g * s * (1.0 - s))
+        return (g * s * (1.0 - s),)
 
     return _finish("sigmoid", s, (x,), bwd)
 
@@ -282,8 +280,7 @@ def silu(x: Tensor) -> Tensor:
     out_data = x.data * s
 
     def bwd(g):
-        if x.requires_grad:
-            _accum(x, g * (s * (1.0 + x.data * (1.0 - s))))
+        return (g * (s * (1.0 + x.data * (1.0 - s))),)
 
     return _finish("silu", out_data, (x,), bwd)
 
@@ -297,8 +294,7 @@ def softplus(x: Tensor) -> Tensor:
     out_data = _softplus(x.data)
 
     def bwd(g):
-        if x.requires_grad:
-            _accum(x, g * _sigmoid(x.data))
+        return (g * _sigmoid(x.data),)
 
     return _finish("softplus", out_data, (x,), bwd)
 
@@ -315,15 +311,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     out_data = xhat * gamma.data + beta.data
 
     def bwd(g):
+        g_gamma = g_beta = g_x = None
         if gamma.requires_grad:
-            _accum(gamma, (g * xhat).reshape(-1, g.shape[-1]).sum(axis=0))
+            g_gamma = (g * xhat).reshape(-1, g.shape[-1]).sum(axis=0)
         if beta.requires_grad:
-            _accum(beta, g.reshape(-1, g.shape[-1]).sum(axis=0))
+            g_beta = g.reshape(-1, g.shape[-1]).sum(axis=0)
         if x.requires_grad:
             gx = g * gamma.data
             m1 = gx.sum(axis=-1, keepdims=True) / n
             m2 = (gx * xhat).sum(axis=-1, keepdims=True) / n
-            _accum(x, inv * (gx - m1 - xhat * m2))
+            g_x = inv * (gx - m1 - xhat * m2)
+        return g_x, g_gamma, g_beta
 
     return _finish("layer_norm", out_data, (x, gamma, beta), bwd)
 
@@ -335,10 +333,9 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     out_data = np.ascontiguousarray(x.data[:, start:stop])
 
     def bwd(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[:, start:stop] = g
-            _accum(x, full)
+        full = np.zeros_like(x.data)
+        full[:, start:stop] = g
+        return (full,)
 
     return _finish("slice_cols", out_data, (x,), bwd)
 
@@ -348,8 +345,7 @@ def flip_time(x: Tensor) -> Tensor:
     out_data = np.ascontiguousarray(x.data[::-1])
 
     def bwd(g):
-        if x.requires_grad:
-            _accum(x, g[::-1])
+        return (g[::-1],)
 
     return _finish("flip_time", out_data, (x,), bwd)
 
@@ -367,11 +363,9 @@ def finite_diff_check(f, x: Tensor, h: float = 1e-5) -> float:
     if x.data.dtype != np.float64:
         raise ValueError("finite_diff_check requires a float64 tensor")
     x.requires_grad = True
-    x.zero_grad()
     with Tape() as tape:
         loss = f(x)
-    backward(loss, tape)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
+    analytic = backward(loss, tape).get(x, np.zeros_like(x.data))
 
     flat = x.data.reshape(-1)
     fd = np.empty_like(flat)

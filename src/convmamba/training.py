@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,7 @@ from .audio import (DegenerateSignalError, StftConfig, Waveform, load_wav,
                     magnitude, mix_at_snr)
 from .checkpoint import save_checkpoint
 from .masks import MaskKind, mask_mse_loss, mask_target
-from .network import ModelConfig, NetworkWeights, forward, init_params, replica
+from .network import ModelConfig, NetworkWeights, forward, init_params
 from .tensor import Tape, Tensor, backward
 
 
@@ -232,54 +231,34 @@ def batch_loss(batch: list[TrainItem], weights: NetworkWeights,
     return tz.scale(total, 1.0 / len(batch))
 
 
-# each worker_pool thread's own replica of the weights; a thread serves one
-# pool and its initializer sets this once, before the thread runs any item
-_thread_weights = threading.local()
-
-
-def worker_pool(weights: NetworkWeights, cfg: ModelConfig,
-                threads: int) -> ThreadPoolExecutor:
-    """Threads that run batch items side by side, each on a replica of the
-    weights (see network.replica) that no other thread uses; leaving the
-    `with` block joins them."""
-    def give_replica():
-        _thread_weights.weights = replica(weights, cfg)
-    return ThreadPoolExecutor(threads, thread_name_prefix="convmamba-item",
-                              initializer=give_replica)
-
-
 def _item_gradients(weights: NetworkWeights, item: TrainItem, n_items: int,
                     cfg: ModelConfig) -> tuple[np.ndarray, list]:
     """The item's loss, and the gradients of its 1/n_items share of the batch
-    loss, taken off weights' tensors (which are left without gradients)."""
-    weights.zero_grads()
+    loss, one per parameter in named_parameters order (None for a parameter
+    the loss does not reach). Only the item's own tape and the dict that
+    backward returns hold them, so threads may share weights."""
     with Tape() as tape:
         loss = _item_loss(item, weights, cfg)
         share = tz.scale(loss, 1.0 / n_items)
-    backward(share, tape)
-    grads = [p.tensor.grad for p in weights.named_parameters()]
-    weights.zero_grads()
-    return loss.data, grads
+    grads = backward(share, tape)
+    return loss.data, [grads.get(p.tensor) for p in weights.named_parameters()]
 
 
 def batch_gradients(batch: list[TrainItem], weights: NetworkWeights,
                     cfg: ModelConfig, workers: ThreadPoolExecutor | None = None) -> float:
-    """Sum the gradient of batch_loss into weights.flat_grad, make each
-    parameter's .grad its view into it, and return that loss.
+    """Sum the gradient of batch_loss into weights.flat_grad, whose
+    per-parameter views are weights.grad_views(), and return that loss.
 
-    Each item runs forward and backward on its own tape: on the workers (a
-    worker_pool over these weights) when given and the batch has more than
+    Each item runs forward and backward on its own tape: on the workers,
+    which all share these weights, when given and the batch has more than
     one item, else one after another on the calling thread. The item
     gradients are summed in item order either way, so the result does not
     depend on the worker count. An item's exception is raised here, and
     items not yet started are dropped.
     """
     n = len(batch)
-    if workers is None or n == 1:
-        results = (_item_gradients(weights, item, n, cfg) for item in batch)
-    else:
-        results = workers.map(
-            lambda item: _item_gradients(_thread_weights.weights, item, n, cfg), batch)
+    run = map if workers is None or n == 1 else workers.map
+    results = run(lambda item: _item_gradients(weights, item, n, cfg), batch)
     views = weights.grad_views()
     total = None
     for loss, grads in results:
@@ -290,8 +269,6 @@ def batch_gradients(batch: list[TrainItem], weights: NetworkWeights,
                 view[...] = 0.0 if g is None else g
             elif g is not None:
                 view += g
-    for p, view in zip(weights.named_parameters(), views):
-        p.tensor.grad = view
     # the same additions and scaling as batch_loss's forward pass
     return float(total * total.dtype.type(1.0 / n))
 
@@ -342,8 +319,8 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
     stop = False
     threads = min(_usable_cores(), train_cfg.batch_size)
     with open(csv_path, "w", encoding="utf-8") as log, (
-            worker_pool(weights, model_cfg, threads) if threads > 1
-            else contextlib.nullcontext()) as workers:
+            ThreadPoolExecutor(threads, thread_name_prefix="convmamba-item")
+            if threads > 1 else contextlib.nullcontext()) as workers:
         log.write("step,epoch,split,loss,lr\n")
         for epoch in range(1, train_cfg.epochs + 1):
             order = rng.permutation(len(clean_pool))

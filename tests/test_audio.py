@@ -118,7 +118,7 @@ def test_istft_round_trip_exact_on_covered_samples():
     rng = np.random.default_rng(5)
     for seconds in (0.5, 1.0):
         wav = rand_wave(rng, seconds=seconds)
-        rec = istft(stft(wav), out_len=len(wav))
+        rec = istft(stft(wav), StftConfig(), out_len=len(wav))
         # sample 0 carries zero sqrt-Hann weight and is unrecoverable
         err = np.abs(rec.samples[1:] - wav.samples[1:])
         assert err.max() < 1e-6
@@ -168,14 +168,14 @@ def test_stft_and_istft_match_gather_and_add_at_oracles_bitwise(win, hop):
 
 def test_istft_zero_spectrogram():
     spec = stft(Waveform(np.zeros(2048)))
-    out = istft(spec, out_len=2048)
+    out = istft(spec, StftConfig(), out_len=2048)
     assert np.max(np.abs(out.samples)) == 0.0
 
 
 def test_istft_out_len_limit():
     spec = stft(Waveform(np.ones(1000) * 0.1))
     with pytest.raises(AudioError, match="reconstructable"):
-        istft(spec, out_len=10 ** 6)
+        istft(spec, StftConfig(), out_len=10 ** 6)
 
 
 def test_istft_rejects_bin_count_mismatch():
@@ -183,6 +183,17 @@ def test_istft_rejects_bin_count_mismatch():
     spec = stft(Waveform(np.ones(1000) * 0.1), StftConfig(256, 128, 256))
     assert spec.shape[1] == 129
     with pytest.raises(AudioError, match="257"):
+        istft(spec, StftConfig())
+
+
+def test_istft_requires_the_analysis_config():
+    # hop 128 has the default's bin count, so only the config tells the hops apart
+    cfg = StftConfig(512, 128, 512)
+    wav = rand_wave(np.random.default_rng(11), seconds=1.0)
+    spec = stft(wav, cfg)
+    rec = istft(spec, cfg, out_len=len(wav))
+    assert np.max(np.abs(rec.samples[1:] - wav.samples[1:])) < 1e-12
+    with pytest.raises(TypeError):
         istft(spec)
 
 
@@ -190,7 +201,7 @@ def test_stft_istft_stft_idempotent():
     rng = np.random.default_rng(9)
     wav = rand_wave(rng, seconds=0.5)
     s1 = stft(wav)
-    wav2 = istft(s1, out_len=len(wav))
+    wav2 = istft(s1, StftConfig(), out_len=len(wav))
     s2 = stft(wav2)
     scale = np.max(np.hypot(s1.real, s1.imag))
     assert np.max(np.abs(s2.real - s1.real)) / scale < 1e-6

@@ -8,10 +8,13 @@ name fails the benchmark before it measures anything.
 
 import importlib
 import runpy
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
+import convmamba
 from convmamba import masks, training
 from convmamba.audio import StftConfig
 from convmamba.network import ModelConfig, init_params
@@ -22,7 +25,11 @@ from convmamba.training import (TrainConfig, WavPool, list_pool, sample_mixture,
 
 from conftest import synth_speechlike
 
-SPEC = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPEC = runpy.run_path(str(PERFBENCH / "spec.py"))
+# the modules perfbench/run.py hands to its Tracer, as import_program names them
+PROGRAM_MODULES = ("audio", "checkpoint", "layers", "masks", "metrics",
+                   "network", "pipeline", "scan", "tensor", "training")
 
 
 def test_every_bound_name_exists():
@@ -78,3 +85,39 @@ def test_traced_mask_functions_take_arrays():
     assert spec.shape == (1, 2) and np.iscomplexobj(spec)
     pred = Tensor(mask, dtype=np.float64)
     assert masks.mask_mse_loss(pred, mask).item() == 0.0
+
+
+def _tracer_class(monkeypatch):
+    """perfbench's Tracer, imported from its own directory; the modules it
+    brings in are dropped again so no other test sees them."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    before = set(sys.modules)
+    try:
+        from tracer import Tracer
+    finally:
+        for name in ("spec", "tracer"):
+            if name not in before:
+                sys.modules.pop(name, None)
+    return Tracer
+
+
+def test_traced_adjoints_pass_gradients_through(corpus, monkeypatch):
+    # the Tracer wraps each adjoint that tensor._finish records, and the
+    # gradients travel back through the wrapper's return value
+    Tracer = _tracer_class(monkeypatch)
+    program = SimpleNamespace(
+        package=convmamba, MODULES=("package",) + PROGRAM_MODULES,
+        **{m: importlib.import_module(f"convmamba.{m}") for m in PROGRAM_MODULES})
+    clean_dir, noise_dir = corpus
+    clean, noise = WavPool(list_pool(clean_dir)), WavPool(list_pool(noise_dir))
+    rng = np.random.default_rng(6)
+    batch = [sample_mixture(clean, noise, TrainConfig(), rng) for _ in range(2)]
+    cfg = ModelConfig(d_model=8, n_layers=1, n_state=4)
+    weights = init_params(cfg, 1)
+    with Tracer(program) as tracer:
+        traced_loss = training.batch_gradients(batch, weights, cfg)
+    traced = weights.flat_grad.copy()
+    assert tracer.self_times()[1]["tensor.matmul.bwd"] > 0
+    assert training.batch_gradients(batch, weights, cfg) == traced_loss
+    assert weights.flat_grad.tobytes() == traced.tobytes()
+    assert traced.any()

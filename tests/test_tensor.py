@@ -1,5 +1,7 @@
 """Tensor engine: op semantics, adjoints vs finite differences, tape contract."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -131,8 +133,8 @@ def test_layer_norm_bits_match_mean_var_oracle(shape, dtype):
     with Tape() as tape:
         out = layer_norm(xt, gt, bt)
         loss = sum_all(mul(out, Tensor(g, dtype=dtype)))
-    backward(loss, tape)
-    got = (out.data, xt.grad, gt.grad, bt.grad)
+    grads = backward(loss, tape)
+    got = (out.data, grads[xt], grads[gt], grads[bt])
     for name, want, have in zip(("out", "x", "gamma", "beta"),
                                 mean_var_layer_norm(x, gamma, beta, g), got):
         assert have.dtype == dtype, name
@@ -143,8 +145,7 @@ def test_backward_square():
     x = t64([3.0], requires_grad=True)
     with Tape() as tape:
         loss = sum_all(mul(x, x))
-    backward(loss, tape)
-    assert abs(x.grad[0] - 6.0) < 1e-14
+    assert abs(backward(loss, tape)[x][0] - 6.0) < 1e-14
 
 
 def test_backward_matches_hand_chain_rule():
@@ -155,10 +156,10 @@ def test_backward_matches_hand_chain_rule():
     with Tape() as tape:
         y = matmul(w, x)
         loss = sum_all(sigmoid(y))
-    backward(loss, tape)
+    grads = backward(loss, tape)
     s = 1.0 / (1.0 + np.exp(-(w.data @ x.data)))
-    np.testing.assert_allclose(w.grad, (s * (1 - s)) @ x.data.T, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(x.grad, w.data.T @ (s * (1 - s)), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(grads[w], (s * (1 - s)) @ x.data.T, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(grads[x], w.data.T @ (s * (1 - s)), rtol=0, atol=1e-14)
 
 
 def test_backward_composed_graph_vs_finite_diff():
@@ -278,9 +279,30 @@ def test_grad_shape_and_accumulation():
     x = t64([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
         loss = sum_all(add(mul(x, x), x))
-    backward(loss, tape)
-    assert x.grad.shape == x.data.shape
-    np.testing.assert_allclose(x.grad, 2 * x.data + 1, atol=1e-14)
+    grad = backward(loss, tape)[x]
+    assert grad.shape == x.data.shape
+    np.testing.assert_allclose(grad, 2 * x.data + 1, atol=1e-14)
+
+
+def test_backward_frees_intermediate_gradients():
+    # each op's output gradient is dropped once its adjoint has run, so the
+    # peak holds a few arrays of x's size, not one per op of the chain
+    x = t64(np.random.default_rng(4).standard_normal((256, 256)), requires_grad=True)
+    with Tape() as tape:
+        y = x
+        for _ in range(32):
+            y = scale(y, 1.001)
+        loss = sum_all(y)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = backward(loss, tape)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * x.data.nbytes, peak / x.data.nbytes
+    assert set(grads) == {x}
 
 
 def test_default_dtype_switch():

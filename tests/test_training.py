@@ -3,13 +3,14 @@
 import hashlib
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from convmamba.audio import DegenerateSignalError, StftConfig, Waveform, save_wav
 from convmamba.masks import MaskKind
-from convmamba.network import ModelConfig, init_params, replica
+from convmamba.network import ModelConfig, init_params
 from convmamba import training
 from convmamba.tensor import Parameter, Tape, Tensor, backward
 from convmamba.training import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS,
@@ -17,7 +18,7 @@ from convmamba.training import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS,
                                 WavPool, adam_step, batch_gradients, batch_loss,
                                 clip_gradients, list_pool, make_batch,
                                 sample_mixture, train_loop, warmup_lr,
-                                lr_for_step, worker_pool)
+                                lr_for_step)
 
 
 def test_warmup_reference_values():
@@ -53,17 +54,15 @@ def _param(value):
 
 def test_adam_first_step_is_signed_lr():
     p = _param([1.0])
-    p.tensor.grad = np.array([2.0])  # d(x^2)/dx at x=1
     state = AdamState()
-    adam_step(p.tensor.data, p.tensor.grad, state, 0.1)
+    adam_step(p.tensor.data, np.array([2.0]), state, 0.1)  # d(x^2)/dx at x=1
     assert p.tensor.data[0] == pytest.approx(0.9, abs=1e-8)
     assert state.step == 1
 
 
 def test_adam_zero_gradient_is_noop():
     p = _param([0.7])
-    p.tensor.grad = np.zeros(1)
-    adam_step(p.tensor.data, p.tensor.grad, AdamState(), 0.1)
+    adam_step(p.tensor.data, np.zeros(1), AdamState(), 0.1)
     assert p.tensor.data[0] == 0.7
     q = _param([0.7])  # batch_gradients fills a missing gradient with zeros
     adam_step(q.tensor.data, np.zeros(1), AdamState(), 0.1)
@@ -74,20 +73,18 @@ def test_adam_converges_on_quadratic():
     p = _param([1.0])
     state = AdamState()
     for _ in range(200):
-        p.tensor.grad = 2.0 * p.tensor.data
-        adam_step(p.tensor.data, p.tensor.grad, state, 0.1)
+        adam_step(p.tensor.data, 2.0 * p.tensor.data, state, 0.1)
     assert abs(p.tensor.data[0]) < 1e-2
 
 
-def _reference_adam(params, state, lr):
+def _reference_adam(params, grads, state, lr):
     """Adam one parameter at a time, as the optimizer ran before its state
-    became flat; a missing gradient counts as zero."""
+    became flat; a missing (None) gradient counts as zero."""
     state["step"] += 1
     c1 = 1.0 - ADAM_BETA1 ** state["step"]
     c2 = 1.0 - ADAM_BETA2 ** state["step"]
-    for p in params:
+    for p, g in zip(params, grads):
         data = p.tensor.data
-        g = p.tensor.grad
         if g is None:
             g = np.zeros_like(data)
         m = state["m"].setdefault(p.name, np.zeros_like(data))
@@ -116,13 +113,11 @@ def test_flat_adam_matches_per_parameter_reference_bitwise(dtype):
         grads = [None if i == missing else
                  (rng.standard_normal(s) * 10.0 ** rng.integers(-6, 2)).astype(dtype)
                  for i, s in enumerate(shapes)]
-        for p, g in zip(ref, grads):
-            p.tensor.grad = g
         # batch_gradients fills a missing gradient with zeros
         flat_grad = np.concatenate([np.zeros(s, dtype).ravel() if g is None
                                     else g.ravel() for s, g in zip(shapes, grads)])
         lr = 1e-3 * (step + 1)
-        _reference_adam(ref, ref_state, lr)
+        _reference_adam(ref, grads, ref_state, lr)
         adam_step(flat, flat_grad, state, lr)
         assert state.step == ref_state["step"] == step + 1
         for name, got in (("params", flat), ("m", state.m), ("v", state.v)):
@@ -138,14 +133,13 @@ def test_adam_rejects_mismatched_gradient():
 
 
 def test_clip_gradients():
-    p = _param([1.0, 1.0, 1.0])
-    p.tensor.grad = np.array([5.0, -3.0, 0.25])
+    grad = np.array([5.0, -3.0, 0.25])
     assert CLIP == 1.0  # the paper's [-1, 1]
-    clip_gradients(p.tensor.grad)
-    np.testing.assert_array_equal(p.tensor.grad, [1.0, -1.0, 0.25])
-    before = p.tensor.grad.copy()
-    clip_gradients(p.tensor.grad)  # idempotent
-    np.testing.assert_array_equal(p.tensor.grad, before)
+    clip_gradients(grad)
+    np.testing.assert_array_equal(grad, [1.0, -1.0, 0.25])
+    before = grad.copy()
+    clip_gradients(grad)  # idempotent
+    np.testing.assert_array_equal(grad, before)
 
 
 def pools(corpus):
@@ -310,32 +304,31 @@ def test_threaded_gradients_match_single_tape(corpus):
         weights = init_params(mcfg, 2)
         with Tape() as tape:
             loss = batch_loss(batch, weights, mcfg)
-        backward(loss, tape)
-        want = {p.name: p.tensor.grad.copy() for p in weights.named_parameters()}
-        with worker_pool(weights, mcfg, 2) as workers:
+        grads = backward(loss, tape)
+        want = {p.name: grads[p.tensor] for p in weights.named_parameters()}
+        with ThreadPoolExecutor(2) as workers:
             got = batch_gradients(batch, weights, mcfg, workers)
     assert abs(got - loss.item()) <= 1e-12 * abs(loss.item())
-    for p in weights.named_parameters():
+    for p, g in zip(weights.named_parameters(), weights.grad_views()):
         scale = np.max(np.abs(want[p.name]))
-        assert np.max(np.abs(p.tensor.grad - want[p.name])) <= 1e-12 * scale, p.name
+        assert np.max(np.abs(g - want[p.name])) <= 1e-12 * scale, p.name
 
 
 def test_gradients_bitwise_equal_under_thread_contention(corpus):
     # more workers than cores and a short switch interval: two threads
-    # sharing a replica's gradients would show as a bit difference
+    # sharing one gradient store would show as a bit difference
     batch = _uneven_batch(corpus, 6, 9)
     mcfg = small_model()
     weights = init_params(mcfg, 3)
     want_loss = batch_gradients(batch, weights, mcfg)
-    want = [p.tensor.grad.copy() for p in weights.named_parameters()]
+    want = weights.flat_grad.copy()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with worker_pool(weights, mcfg, 4) as workers:
+        with ThreadPoolExecutor(4) as workers:
             for _ in range(3):
                 assert batch_gradients(batch, weights, mcfg, workers) == want_loss
-                for p, g in zip(weights.named_parameters(), want):
-                    np.testing.assert_array_equal(p.tensor.grad, g)
+                np.testing.assert_array_equal(weights.flat_grad, want)
     finally:
         sys.setswitchinterval(interval)
 
@@ -348,12 +341,11 @@ def test_worker_failure_raises_and_leaves_weights(corpus):
     before = _weights_digest(weights)
     with pytest.raises(ValueError) as single:
         batch_loss(batch, weights, mcfg)
-    with worker_pool(weights, mcfg, 2) as workers:
+    with ThreadPoolExecutor(2) as workers:
         with pytest.raises(ValueError) as threaded:
             batch_gradients(batch, weights, mcfg, workers)
     assert str(threaded.value) == str(single.value)
     assert _weights_digest(weights) == before
-    assert all(p.tensor.grad is None for p in weights.named_parameters())
 
 
 def test_train_loop_worker_failure_stops_before_adam(corpus, tmp_path, monkeypatch):
@@ -398,34 +390,17 @@ def test_train_loop_same_bytes_for_any_worker_count(corpus, tmp_path, monkeypatc
     assert one.final_checkpoint.read_bytes() == two.final_checkpoint.read_bytes()
 
 
-def test_replica_shares_arrays_and_sees_adam_step():
-    mcfg = small_model()
-    weights = init_params(mcfg, 6)
-    rep = replica(weights, mcfg)
-    pairs = list(zip(weights.named_parameters(), rep.named_parameters()))
-    assert all(p.name == q.name and p.tensor.data is q.tensor.data
-               and p.tensor is not q.tensor for p, q in pairs)
-    assert rep.flat is weights.flat and rep.flat_grad is None
-    adam_step(weights.flat, np.ones_like(weights.flat), AdamState(), 1e-2)
-    for p, q in pairs:
-        np.testing.assert_array_equal(q.tensor.data, p.tensor.data)
-        assert q.tensor.grad is None
-    assert _weights_digest(rep) == _weights_digest(weights) != _weights_digest(
-        init_params(mcfg, 6))
-
-
 def test_batch_gradients_are_views_into_one_flat_gradient(corpus):
     batch = _uneven_batch(corpus, 3, 12)
     mcfg = small_model()
     weights = init_params(mcfg, 7)
-    with worker_pool(weights, mcfg, 2) as workers:
+    with ThreadPoolExecutor(2) as workers:
         batch_gradients(batch, weights, mcfg, workers)
         flat_grad = weights.flat_grad
         assert flat_grad.shape == weights.flat.shape
         assert flat_grad.dtype == weights.flat.dtype
         start = 0
-        for p in weights.named_parameters():
-            g = p.tensor.grad
+        for p, g in zip(weights.named_parameters(), weights.grad_views()):
             assert g.base is flat_grad and g.shape == p.tensor.data.shape, p.name
             np.testing.assert_array_equal(g.ravel(), flat_grad[start:start + g.size])
             start += g.size
@@ -437,8 +412,7 @@ def test_batch_gradients_are_views_into_one_flat_gradient(corpus):
         flat_grad *= 1e3  # so that the fixed clip cuts some entries
         assert np.abs(flat_grad).max() > CLIP
         clip_gradients(flat_grad)
-        assert all(np.abs(p.tensor.grad).max() <= CLIP
-                   for p in weights.named_parameters())
+        assert all(np.abs(g).max() <= CLIP for g in weights.grad_views())
 
 
 def test_batch_gradients_count_a_missing_gradient_as_zero(corpus, monkeypatch):
@@ -457,9 +431,9 @@ def test_batch_gradients_count_a_missing_gradient_as_zero(corpus, monkeypatch):
 
     monkeypatch.setattr(training, "_item_gradients", dropped)
     batch_gradients(batch, weights, mcfg)
-    params = weights.named_parameters()
-    assert not params[0].tensor.grad.any()
-    np.testing.assert_array_equal(params[1].tensor.grad, second_item[1])
+    views = weights.grad_views()
+    assert not views[0].any()
+    np.testing.assert_array_equal(views[1], second_item[1])
 
 
 _TRAIN_THEN_ENHANCE = """
