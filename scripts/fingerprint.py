@@ -7,10 +7,12 @@ Two source trees that print the same lines compute the same bits for:
 init_params (two presets, both dtypes), a checkpoint save -> load -> save,
 training mixtures with their IRM and PSM targets, short training runs
 (batch 1, and batch 3 with IRM and PSM targets on two worker threads:
-metrics.csv and the final checkpoint), enhance_waveform on a 1 s file, and
-the eval CSV in each mode. To compare two trees, run the
-script once with PYTHONPATH set to each tree's src/ and diff the outputs.
-The run takes a few seconds and writes only to a temporary directory.
+metrics.csv and the final checkpoint), enhance_waveform on a 1 s file, the
+eval CSV in each mode, and one convmamba-4 item's loss and gradient (a 2 s,
+125-frame item, whose scans the adjoint recomputes chunk by chunk). To
+compare two trees, run the script once with PYTHONPATH set to each tree's
+src/ and diff the outputs. The run takes a few seconds and writes only to a
+temporary directory.
 """
 
 import hashlib
@@ -21,13 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from convmamba import training
-from convmamba.audio import StftConfig, Waveform, load_wav, save_wav
+from convmamba.audio import StftConfig, Waveform, load_wav, magnitude, save_wav
 from convmamba.checkpoint import load_checkpoint, save_checkpoint
-from convmamba.masks import MaskKind
+from convmamba.masks import MaskKind, mask_target
 from convmamba.network import ModelConfig, init_params
 from convmamba.pipeline import enhance_waveform, evaluate_corpus, rows_to_csv
-from convmamba.training import (TrainConfig, WavPool, list_pool, sample_mixture,
-                                train_loop)
+from convmamba.training import (TrainConfig, TrainItem, WavPool, list_pool,
+                                sample_mixture, train_loop)
 
 RATE = 16000
 
@@ -101,6 +103,16 @@ def fingerprints(root: Path):
         rows = evaluate_corpus(*pools, [-5, 0, 5], mode, trained, trained_cfg,
                                StftConfig(), seed=3, max_items=3)
         yield f"eval/{mode}.csv", digest(rows_to_csv(rows).encode())
+
+    # 125 frames are 8 scan chunks at d_inner 512 (the runs above have one)
+    n = 2 * RATE + 256
+    draw = np.random.default_rng(7)
+    clean = Waveform(0.3 * np.sin(2 * np.pi * 220.0 * np.arange(n) / RATE))
+    noisy = Waveform(clean.samples + 0.1 * draw.standard_normal(n))
+    spec_y, target = mask_target(clean, noisy, MaskKind.IRM, StftConfig())
+    loss = training.batch_gradients([TrainItem(magnitude(spec_y), target, {})], big, big_cfg)
+    yield ("grad/convmamba-4/float32",
+           digest(np.float64(loss).tobytes() + big.flat_grad.tobytes()))
 
 
 def main() -> int:

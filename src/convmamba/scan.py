@@ -16,12 +16,15 @@ evaluates the recurrence step by step.
 
 The scan runs over time chunks whose (frames, N, d_inner) buffers take at
 most 512 KiB (chunk_frames: 16 frames at N 16, d_inner 512 in float32, where
-the adjoint's five fit a 4 MiB L2 cache). A taped scan keeps its inputs and
-the state entering each chunk, from which its adjoint recomputes it in reverse.
+the adjoint's five fit a 4 MiB L2 cache). A taped scan keeps its inputs, the
+state entering each chunk and the final chunk's four buffers (ZOH terms, drive
+and states: at most 2 MiB). Its adjoint starts on that final chunk and
+recomputes every chunk before it, in reverse, from its entering state.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,10 +134,10 @@ def _states_sequential(h0: np.ndarray, a_bar: np.ndarray, s: np.ndarray,
                        h: np.ndarray) -> np.ndarray:
     # h[t] = a_bar[t]*h[t-1] + s[t] from h[-1] = h0, written in place
     prev = h0
-    for t in range(s.shape[0]):
-        np.multiply(a_bar[t], prev, out=h[t])
-        h[t] += s[t]
-        prev = h[t]
+    for a_bar_t, s_t, h_t in zip(a_bar, s, h):
+        np.multiply(a_bar_t, prev, out=h_t)
+        h_t += s_t
+        prev = h_t
     return h
 
 
@@ -155,6 +158,42 @@ def chunk_frames(n_state: int, d_inner: int, itemsize: int) -> int:
     return max(1, 512 * 1024 // (n_state * d_inner * itemsize))
 
 
+class _Spare(threading.local):
+    """Chunk blocks of this thread's finished taped scans, for its next ones.
+
+    A taped scan holds its (4, frames, N, d_inner) block from its forward to
+    the end of its adjoint, so a train step's blocks are live at once. Freed
+    when the step ends, they would leave the top of the heap free, glibc
+    would return it to the kernel, and the next step would take those pages
+    again as faults (380-550 a step at d_model 32 on 58-62 frames). A block
+    carries no values from one scan to the next, since a scan writes every
+    row it reads; a thread keeps at most as many as it had live at once.
+    An untaped scan frees its block on return, as it did before.
+    """
+
+    def __init__(self):
+        self.blocks: list[np.ndarray] = []
+
+
+_spare = _Spare()
+
+
+def _take_block(shape: tuple, dtype) -> np.ndarray:
+    """An unfilled block of this shape, reused from this thread if it has one."""
+    blocks = _spare.blocks
+    if blocks and blocks[-1].shape == shape and blocks[-1].dtype == dtype:
+        return blocks.pop()
+    return np.empty(shape, dtype=dtype)
+
+
+def _give_back(block: np.ndarray) -> None:
+    """Keep a block for this thread's next scans; kept ones of another shape go."""
+    blocks = _spare.blocks
+    if blocks and (blocks[-1].shape, blocks[-1].dtype) != (block.shape, block.dtype):
+        blocks.clear()
+    blocks.append(block)
+
+
 def selective_scan_seq(u: Tensor, si: SelectiveInputs, p: SsmParams) -> Tensor:
     """Evaluate the recurrence step by step from h_0 = 0."""
     udata = u.data
@@ -167,13 +206,22 @@ def selective_scan_seq(u: Tensor, si: SelectiveInputs, p: SsmParams) -> Tensor:
     dtype = delta.dtype
     step = min(chunk_frames(*a_t.shape, dtype.itemsize), max(1, len(delta)))
     spans = [(t0, min(t0 + step, len(delta))) for t0 in range(0, len(delta), step)]
-    boundary = np.zeros((len(spans) + 1,) + a_t.shape, dtype=dtype)  # h entering chunk k
-    x, a_bar, s = np.empty((3, step) + a_t.shape, dtype=dtype)
+    boundary = np.empty((len(spans) + 1,) + a_t.shape, dtype=dtype)  # h entering chunk k
+    boundary[0] = 0.0
+    inputs = (u, si.delta, si.b, si.c, p.a_log, p.d_skip)
+    # a taped scan's block outlives this call, so it is reused (see _Spare)
+    taped = tz.recording_tape(inputs) is not None
+    block = (_take_block if taped else np.empty)((4, step) + a_t.shape, dtype)
+    ea, a_bar, s, h = block
+    last = len(spans) - 1
     z = np.empty_like(udata)
     for k, (t0, t1) in enumerate(spans):
         n = t1 - t0
+        # earlier chunks write their states over ea; the final chunk's go to h,
+        # so all four of its buffers are left for the adjoint
         hc = _chunk_states(boundary[k], delta[t0:t1], bdata[t0:t1], udata[t0:t1],
-                           a_t, inv_a, x[:n], a_bar[:n], s[:n], x[:n])
+                           a_t, inv_a, ea[:n], a_bar[:n], s[:n],
+                           (h if k == last else ea)[:n])
         np.matmul(cdata[t0:t1, None, :], hc, out=z[t0:t1, None, :])
         boundary[k + 1] = hc[-1]
     z += udata * p.d_skip.data
@@ -184,20 +232,23 @@ def selective_scan_seq(u: Tensor, si: SelectiveInputs, p: SsmParams) -> Tensor:
         g_b = np.empty_like(bdata)
         g_c = np.empty_like(cdata)
         g_a = np.zeros_like(a_t)
-        x, a_bar, s, ea, lam = np.empty((5, step) + a_t.shape, dtype=dtype)
+        lam = np.empty((step,) + a_t.shape, dtype=dtype)
+        prod = np.empty_like(a_t)
         carry = np.zeros_like(a_t)                 # a_bar[t+1]*lam[t+1] past the chunk
-        for k in range(len(spans) - 1, -1, -1):
+        for k in range(last, -1, -1):
             t0, t1 = spans[k]
             n = t1 - t0
-            ac, sc, ec, lc = a_bar[:n], s[:n], ea[:n], lam[:n]
+            ac, sc, ec, hc, lc = a_bar[:n], s[:n], ea[:n], h[:n], lam[:n]
             bc, uc, gc = bdata[t0:t1], udata[t0:t1], g[t0:t1]
-            hc = _chunk_states(boundary[k], delta[t0:t1], bc, uc, a_t, inv_a,
-                               ec, ac, sc, x[:n])
+            if k < last:                           # the final chunk is kept
+                _chunk_states(boundary[k], delta[t0:t1], bc, uc, a_t, inv_a,
+                              ec, ac, sc, hc)
             # lam[t] = dL/dh[t] = c[t] g[t] + a_bar[t+1] lam[t+1]
             np.multiply(cdata[t0:t1, :, None], gc[:, None, :], out=lc)
             lc[-1] += carry
-            for t in range(n - 2, -1, -1):
-                lc[t] += ac[t + 1] * lc[t + 1]
+            for a_next, lam_next, lam_t in zip(ac[:0:-1], lc[:0:-1], lc[-2::-1]):
+                np.multiply(a_next, lam_next, out=prod)
+                lam_t += prod
             np.multiply(ac[0], lc[0], out=carry)
             np.matmul(hc, gc[:, :, None], out=g_c[t0:t1, :, None])
             # through s = expm1(x)/A * u*b with x = delta*A held fixed:
@@ -217,7 +268,7 @@ def selective_scan_seq(u: Tensor, si: SelectiveInputs, p: SsmParams) -> Tensor:
             g_a += np.einsum("tnd,td->nd", hc, delta[t0:t1])
             sc *= lc
             g_a -= sc.sum(axis=0)
+        _give_back(block)
         return g_u, g_delta, g_b, g_c, g_a.T, (g * udata).sum(axis=0)
 
-    return tz._finish("selective_scan", z,
-                      (u, si.delta, si.b, si.c, p.a_log, p.d_skip), bwd)
+    return tz._finish("selective_scan", z, inputs, bwd)

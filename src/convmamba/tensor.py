@@ -114,9 +114,13 @@ class _TapeStack(threading.local):
 _TAPES = _TapeStack()
 
 
-def _active_tape() -> Tape | None:
+def recording_tape(inputs) -> Tape | None:
+    """The live tape, if an op on these inputs is recorded on it: one of them
+    needs a gradient."""
     stack = _TAPES.stack
-    return stack[-1] if stack else None
+    if stack and any(t.requires_grad for t in inputs):
+        return stack[-1]
+    return None
 
 
 def _finish(op_name: str, out_data: np.ndarray, inputs, backward_fn) -> Tensor:
@@ -127,10 +131,9 @@ def _finish(op_name: str, out_data: np.ndarray, inputs, backward_fn) -> Tensor:
     """
     if not np.isfinite(out_data).all():
         raise ValueError(f"non-finite values produced by {op_name}")
-    tape = _active_tape()
-    needs = any(t.requires_grad for t in inputs)
-    out = Tensor._checked(out_data, needs and tape is not None)
-    if tape is not None and needs:
+    tape = recording_tape(inputs)
+    out = Tensor._checked(out_data, tape is not None)
+    if tape is not None:
         tape.record(out, inputs, backward_fn)
     return out
 

@@ -1,6 +1,7 @@
 """ZOH discretization and the selective scan, checked against the per-step
 loop and convolution oracles in conftest."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -354,3 +355,115 @@ def test_taped_scan_keeps_less_than_one_state_slab():
     assert held < slab, f"{held} bytes held between forward and backward"
     grads = backward(loss, tape)
     assert u in grads and p.a_log in grads
+
+
+def scan_with_grads(u, si, p, weights):
+    """Output of a taped scan and its (u, delta, B, C, a_log, d_skip)
+    gradients under the loss sum(z * weights)."""
+    leaves = (u, si.delta, si.b, si.c, p.a_log, p.d_skip)
+    for t in leaves:
+        t.requires_grad = True
+    with Tape() as tape:
+        z = selective_scan_seq(u, si, p)
+        loss = sum_all(mul(z, Tensor(weights, dtype=z.data.dtype)))
+    grads = backward(loss, tape)
+    return [z.data] + [grads[t] for t in leaves]
+
+
+def count_chunk_states(monkeypatch):
+    import convmamba.scan as scan
+    calls = []
+    chunk_states = scan._chunk_states
+    monkeypatch.setattr(scan, "_chunk_states",
+                        lambda *a: calls.append(len(a[1])) or chunk_states(*a))
+    return calls
+
+
+@pytest.mark.parametrize("length", [1, 15, 16, 17, 62])
+def test_adjoint_recomputes_every_chunk_but_the_final_one(length, chunk16, monkeypatch):
+    calls = count_chunk_states(monkeypatch)
+    rng = np.random.default_rng(length)
+    p = make_params(6, 4, rng)
+    u, si = random_inputs(rng, length, 6, 4)
+    u.requires_grad = True
+    with Tape() as tape:
+        loss = sum_all(selective_scan_seq(u, si, p))
+    chunks = -(-length // EDGE_CHUNK)
+    assert len(calls) == chunks
+    backward(loss, tape)
+    assert calls[chunks:] == [EDGE_CHUNK] * (chunks - 1)
+
+
+def test_one_chunk_taped_scan_runs_its_steps_once(monkeypatch):
+    # d_model 32 (d_inner 64) in float32: a 62-frame scan is one kept chunk
+    calls = count_chunk_states(monkeypatch)
+    rng = np.random.default_rng(5)
+    p = init_ssm_params(64, 16, 2, rng, dtype=np.float32)
+    u, si = random_inputs(rng, 62, 64, 16)
+    f32 = [Tensor(t.data, requires_grad=True, dtype=np.float32)
+           for t in (u, si.delta, si.b, si.c)]
+    with Tape() as tape:
+        loss = sum_all(selective_scan_seq(f32[0], SelectiveInputs(*f32[1:]), p))
+    assert calls == [62]
+    backward(loss, tape)
+    assert calls == [62]
+
+
+def test_kept_final_chunk_matches_recomputed_chunks(monkeypatch):
+    import convmamba.scan as scan
+    rng = np.random.default_rng(62)
+    length, d_inner, n = 62, 64, 16
+    assert chunk_frames(n, d_inner, 8) >= length      # one chunk, kept whole
+    p = make_params(d_inner, n, rng)
+    p.d_skip.data[:] = rng.uniform(0.1, 1.0, d_inner)
+    u, si = random_inputs(rng, length, d_inner, n)
+    weights = rng.standard_normal((length, d_inner))
+    one = scan_with_grads(u, si, p, weights)
+    monkeypatch.setattr(scan, "chunk_frames", lambda *shape: EDGE_CHUNK)
+    four = scan_with_grads(u, si, p, weights)         # three recomputed, one kept
+    names = ("z", "u", "delta", "b", "c", "a_log", "d_skip")
+    for name, want, got in zip(names, one, four):
+        if name == "a_log":     # the chunks sum their a_log terms in another order
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        else:
+            assert np.array_equal(got, want), name
+
+
+def test_adjoint_allocates_one_chunk_buffer(chunk16):
+    rng = np.random.default_rng(40)
+    length, d_inner, n = 40, 256, 32
+    p = make_params(d_inner, n, rng)
+    u, si = random_inputs(rng, length, d_inner, n)
+    u.requires_grad = True
+    with Tape() as tape:
+        loss = sum_all(selective_scan_seq(u, si, p))
+    tracemalloc.start()
+    try:
+        grads = backward(loss, tape)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Past the gradients it returns, the adjoint's one chunk buffer is lam; the
+    # rest are (frames, d_inner) rows and the ufunc buffers, here 0.4 chunk.
+    # The chunks before the final one are recomputed into the kept buffers.
+    chunk = EDGE_CHUNK * n * d_inner * 8
+    assert peak - held < 2 * chunk, (peak - held) / chunk
+    assert u in grads and p.a_log in grads
+
+
+def test_reused_chunk_block_leaves_no_trace():
+    import convmamba.scan as scan
+    rng = np.random.default_rng(17)
+    p = make_params(64, 16, rng)
+    other, inputs = (random_inputs(rng, 62, 64, 16) for _ in range(2))
+    weights = rng.standard_normal((62, 64))
+    fresh = []                          # a new thread has no block to reuse
+    worker = threading.Thread(
+        target=lambda: fresh.extend(scan_with_grads(*inputs, p, weights)))
+    worker.start()
+    worker.join()
+    scan_with_grads(*other, p, weights)
+    assert scan._spare.blocks[-1].shape == (4, 62, 16, 64)
+    reused = scan_with_grads(*inputs, p, weights)     # in the other scan's block
+    for want, got in zip(fresh, reused):
+        assert np.array_equal(got, want)
