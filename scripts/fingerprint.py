@@ -7,8 +7,9 @@ Two source trees that print the same lines compute the same bits for:
 init_params (two presets, both dtypes), a checkpoint save -> load -> save,
 training mixtures with their IRM and PSM targets, short training runs
 (batch 1, and batch 3 with IRM and PSM targets on two worker threads:
-metrics.csv and the final checkpoint), enhance_waveform on a 1 s file, the
-eval CSV in each mode, and one convmamba-4 item's loss and gradient (a 2 s,
+metrics.csv and the final checkpoint), enhance_waveform on a 1 s file and
+on a 500-frame file (four time blocks, on two layer groups), the eval CSV in
+each mode, and one convmamba-4 item's loss and gradient (a 2 s,
 125-frame item, whose scans the adjoint recomputes chunk by chunk). To
 compare two trees, run the script once with PYTHONPATH set to each tree's
 src/ and diff the outputs. The run takes a few seconds and writes only to a
@@ -97,6 +98,15 @@ def fingerprints(root: Path):
     enhanced, mask = enhance_waveform(load_wav(root / "noisy.wav"), big, big_cfg)
     yield "enhance_waveform/samples", digest(enhanced.samples.tobytes())
     yield "enhance_waveform/mask", digest(mask.tobytes())
+    # 8 s and 256 samples are 500 frames: the layers run block by block, and
+    # on two threads, since _usable_cores reads 2 here
+    n = 8 * RATE + 256
+    draw = np.random.default_rng(8)
+    long_noisy = Waveform(0.2 * np.sin(2 * np.pi * 300.0 * np.arange(n) / RATE)
+                          + 0.1 * draw.standard_normal(n))
+    enhanced, mask = enhance_waveform(long_noisy, big, big_cfg)
+    yield "enhance_waveform/8s/samples", digest(enhanced.samples.tobytes())
+    yield "enhance_waveform/8s/mask", digest(mask.tobytes())
 
     trained, trained_cfg = load_checkpoint(root / "batch1_irm" / "checkpoints" / "final.ckpt")
     for mode in ("model", "oracle", "passthrough"):

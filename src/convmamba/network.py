@@ -4,17 +4,23 @@ Input is an (L, 257) magnitude spectrogram. A pointwise convolution (with a
 frame-wise layer norm in front and ReLU behind) lifts it to d_model channels,
 a stack of Mamba-plus-depthwise-conv layers follows, and a pointwise
 convolution with sigmoid produces the estimated mask.
+
+An untaped forward of a unidirectional model over more than BLOCK frames
+runs the layer stack one time block at a time, pipelined over the usable
+cores (see _blocked_layers).
 """
 
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as tz
-from .layers import LayerWeights, MambaWeights, conv_mamba_layer
+from .layers import LayerState, LayerWeights, MambaWeights, conv_mamba_layer
 from .scan import SsmParams, a_log_init, dt_bias_init, dt_rank_for
 from .tensor import Parameter, Tensor
 
@@ -246,6 +252,14 @@ def init_params(cfg: ModelConfig, seed: int, dtype=None) -> NetworkWeights:
 # forward passes
 # ---------------------------------------------------------------------------
 
+# frames per time block of a blocked forward: a block's (frames, d_inner)
+# intermediates stay in L2 (256 KiB at d_inner 512 in float32), where a
+# whole long file's spill out of it; of 64, 128, 256 and 512 frames, 128
+# and 256 enhanced 1-32 s files fastest, and a shorter block fills the
+# layer-group pipeline sooner
+BLOCK = 128
+
+
 def forward(y_mag: Tensor, w: NetworkWeights, cfg: ModelConfig) -> Tensor:
     """Estimate an (L, bins) time-frequency mask in [0, 1] from an (L, bins)
     magnitude input."""
@@ -254,7 +268,76 @@ def forward(y_mag: Tensor, w: NetworkWeights, cfg: ModelConfig) -> Tensor:
     outer_padding = "causal" if cfg.outer_conv_causal else "centered"
     x = tz.layer_norm(y_mag, w.in_ln_gamma, w.in_ln_beta)
     x = tz.relu(tz.add(tz.matmul(x, w.in_weight), w.in_bias))
-    for layer in w.layers:
-        x = conv_mamba_layer(x, layer, outer_padding)
+    if x.requires_grad or cfg.bidirectional or len(x.data) <= BLOCK:
+        for layer in w.layers:
+            x = conv_mamba_layer(x, layer, outer_padding)
+    else:
+        x = _blocked_layers(x.data, w, outer_padding)
     logits = tz.add(tz.matmul(x, w.out_weight), w.out_bias)
     return tz.sigmoid(logits)
+
+
+def _received(inbox: queue.SimpleQueue):
+    """The blocks put in inbox, up to the None that ends them."""
+    while (block := inbox.get()) is not None:
+        yield block
+
+
+def _blocked_layers(x: np.ndarray, w: NetworkWeights, outer_padding: str) -> Tensor:
+    """The untaped layer stack over x one BLOCK-frame span at a time.
+
+    Each layer carries a LayerState from one span to the next, so the
+    result is the whole-sequence one up to the rounding of row-blocked
+    matmuls. A centred outer conv makes each layer's output lag its input
+    by its lookahead, so layer i's spans end i * (outer_dw_kernel - 1) / 2
+    frames before each multiple of BLOCK; with a causal one they end on
+    them. The spans depend only on L and the config.
+
+    The layers split into min(usable cores, n_layers) contiguous groups.
+    The calling thread runs the first group; each other group runs on a
+    thread of its own, and takes each span from the group before it as soon
+    as that span is done. A group's error stops every group, and once all
+    threads have ended, the error of the failing group nearest the input is
+    raised.
+    """
+    from .training import _usable_cores   # training imports this module
+    spans = [x[t:t + BLOCK] for t in range(0, len(x), BLOCK)]
+    n_groups = min(_usable_cores(), len(w.layers))
+    cuts = [len(w.layers) * g // n_groups for g in range(n_groups + 1)]
+    inboxes = [queue.SimpleQueue() for _ in range(n_groups)]
+    out: list[np.ndarray] = []
+    errors: list[BaseException | None] = [None] * n_groups
+    failed = threading.Event()
+
+    def run(g: int, blocks) -> None:
+        layers = w.layers[cuts[g]:cuts[g + 1]]
+        states = [LayerState.zeros(layer, x.dtype) for layer in layers]
+        emit = out.append if g + 1 == n_groups else inboxes[g + 1].put
+        try:
+            for k, block in enumerate(blocks):
+                if failed.is_set():
+                    break
+                h = Tensor._checked(block, False)
+                for layer, state in zip(layers, states):
+                    h = conv_mamba_layer(h, layer, outer_padding, state,
+                                         final=k == len(spans) - 1)
+                emit(h.data)
+        except BaseException as exc:
+            errors[g] = exc
+            failed.set()
+        finally:
+            if g + 1 < n_groups:
+                inboxes[g + 1].put(None)
+
+    threads = [threading.Thread(target=run, args=(g, _received(inboxes[g])),
+                                name=f"convmamba-layers-{g}")
+               for g in range(1, n_groups)]
+    for thread in threads:
+        thread.start()
+    run(0, spans)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return Tensor._checked(np.concatenate(out), False)

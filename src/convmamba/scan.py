@@ -12,7 +12,9 @@ diagonal A < 0 and B_t at a per-timestep, per-channel step size delta_t > 0
     a_bar_t = exp(delta_t A),    b_bar_t = expm1(delta_t A) / A * B_t
 
 delta, B and C are themselves projections of the input sequence. The scan
-evaluates the recurrence step by step.
+evaluates the recurrence step by step, from h_0 = 0 or from a given state,
+and can hand its final state on, so consecutive calls over consecutive time
+blocks continue one recurrence.
 
 The scan runs over time chunks whose (frames, N, d_inner) buffers take at
 most 512 KiB (chunk_frames: 16 frames at N 16, d_inner 512 in float32, where
@@ -194,8 +196,15 @@ def _give_back(block: np.ndarray) -> None:
     blocks.append(block)
 
 
-def selective_scan_seq(u: Tensor, si: SelectiveInputs, p: SsmParams) -> Tensor:
-    """Evaluate the recurrence step by step from h_0 = 0."""
+def selective_scan_seq(u: Tensor, si: SelectiveInputs, p: SsmParams,
+                       state: np.ndarray | None = None) -> Tensor:
+    """Evaluate the recurrence step by step from h_0 = 0.
+
+    state, if given, is the (n_state, d_inner) hidden state entering the
+    sequence in place of zeros, and is overwritten with the state after its
+    last step: the entering state of the next time block. It carries no
+    gradient.
+    """
     udata = u.data
     delta = si.delta.data
     bdata = si.b.data
@@ -207,7 +216,7 @@ def selective_scan_seq(u: Tensor, si: SelectiveInputs, p: SsmParams) -> Tensor:
     step = min(chunk_frames(*a_t.shape, dtype.itemsize), max(1, len(delta)))
     spans = [(t0, min(t0 + step, len(delta))) for t0 in range(0, len(delta), step)]
     boundary = np.empty((len(spans) + 1,) + a_t.shape, dtype=dtype)  # h entering chunk k
-    boundary[0] = 0.0
+    boundary[0] = 0.0 if state is None else state
     inputs = (u, si.delta, si.b, si.c, p.a_log, p.d_skip)
     # a taped scan's block outlives this call, so it is reused (see _Spare)
     taped = tz.recording_tape(inputs) is not None
@@ -225,6 +234,8 @@ def selective_scan_seq(u: Tensor, si: SelectiveInputs, p: SsmParams) -> Tensor:
         np.matmul(cdata[t0:t1, None, :], hc, out=z[t0:t1, None, :])
         boundary[k + 1] = hc[-1]
     z += udata * p.d_skip.data
+    if state is not None:
+        state[...] = boundary[-1]
 
     def bwd(g):
         g_u = g * p.d_skip.data

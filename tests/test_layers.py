@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from convmamba.layers import (LayerWeights, MambaWeights, conv_mamba_layer,
-                              depthwise_conv1d, mamba_layer)
+from convmamba.layers import (LayerState, LayerWeights, MambaWeights,
+                              conv_mamba_layer, depthwise_conv1d, mamba_layer)
 from convmamba.network import ModelConfig, init_params
 from convmamba.tensor import Tensor, finite_diff_check, sum_all
 
@@ -61,6 +61,23 @@ def test_dwconv_even_centered_rejected():
     x = t64(np.zeros((4, 2)))
     with pytest.raises(ValueError, match="odd"):
         depthwise_conv1d(x, t64(np.zeros((2, 4))), t64(np.zeros(2)), "centered")
+
+
+def test_dwconv_carried_rows_continue_the_causal_conv():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((11, 3))
+    kernel = t64(rng.standard_normal((3, 4)))
+    bias = t64(rng.standard_normal(3))
+    past = np.zeros((3, 3))
+    # a 2-row block is shorter than the 3 carried rows
+    parts = [depthwise_conv1d(t64(x[rows]), kernel, bias, "causal", past).data
+             for rows in (slice(0, 2), slice(2, 7), slice(7, 11))]
+    np.testing.assert_array_equal(np.concatenate(parts),
+                                  depthwise_conv1d(t64(x), kernel, bias, "causal").data)
+    np.testing.assert_array_equal(past, x[-3:])
+    with pytest.raises(ValueError, match="causal"):
+        depthwise_conv1d(t64(x), t64(np.zeros((3, 3))), bias, "centered",
+                         np.zeros((2, 3)))
 
 
 def test_dwconv_gradients():
@@ -164,3 +181,33 @@ def test_layer_without_conv_refine_is_residual_mamba_only():
     want = mamba_layer(layer_norm(h, layer.mamba_ln_gamma, layer.mamba_ln_beta),
                        layer.mamba).data + h.data
     np.testing.assert_allclose(conv_mamba_layer(h, layer).data, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_layer_block_by_block_matches_whole_sequence(causal):
+    """Blocks of 1 to 5 rows, some shorter than the centred width-5 conv's
+    two-frame lookahead or the inner conv's three carried rows."""
+    cfg, w = tiny_weights(seed=4, outer_dw_kernel=5)
+    layer = w.layers[0]
+    padding = "causal" if causal else "centered"
+    rng = np.random.default_rng(5)
+    h = rng.standard_normal((16, cfg.d_model))
+    state = LayerState.zeros(layer, np.float64)
+    cuts = [0, 1, 2, 5, 10, 11, 16]
+    parts = [conv_mamba_layer(t64(h[a:b]), layer, padding, state, final=b == 16).data
+             for a, b in zip(cuts, cuts[1:])]
+    blocked = np.concatenate(parts)
+    # output rows lag input rows by the lookahead (2 frames here) until the end
+    lag = 0 if causal else 2
+    assert [len(p) for p in parts] == [max(0, b - lag) - max(0, a - lag)
+                                       for a, b in zip(cuts, cuts[1:-1])] + [16 - 11 + lag]
+    np.testing.assert_allclose(blocked, conv_mamba_layer(t64(h), layer, padding).data,
+                               rtol=0, atol=1e-12)
+
+
+def test_bidirectional_layer_refuses_carried_state():
+    cfg, w = tiny_weights(bidirectional=True)
+    layer = w.layers[0]
+    with pytest.raises(ValueError, match="bidirectional"):
+        conv_mamba_layer(t64(np.zeros((4, cfg.d_model))), layer, "centered",
+                         LayerState.zeros(layer, np.float64))

@@ -1,10 +1,14 @@
 """Full network: forward contracts, init, parameter counts, checkpoints."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from convmamba import network, training
 from convmamba.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from convmamba.network import (ModelConfig, count_params, forward,
+from convmamba.network import (BLOCK, ModelConfig, count_params, forward,
                                init_params, parameter_shapes)
 from convmamba.tensor import Tensor, finite_diff_check
 
@@ -126,6 +130,105 @@ def test_bidirectional_reduces_to_unidirectional_with_zero_reverse():
     m_uni = forward(t64(y), uni, uni_cfg).data
     np.testing.assert_allclose(m_bi, m_uni, atol=1e-12)
     assert m_bi.shape == (11, 17)
+
+
+def _one_block_forward(y, w, cfg, monkeypatch):
+    """forward with the whole sequence as one block: the taped path's ops."""
+    with monkeypatch.context() as m:
+        m.setattr(network, "BLOCK", len(y.data))
+        return forward(y, w, cfg).data
+
+
+def _grouped_forward(y, w, cfg, groups, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(training, "_usable_cores", lambda: groups)
+        return forward(y, w, cfg).data
+
+
+# the blocked forward against the one-block one: row-blocked matmuls may
+# round differently, nothing else does
+BLOCKED_TOL = {np.float64: 1e-12, np.float32: 1e-6}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize("n_layers", [1, 2, 4])
+def test_blocked_forward_matches_one_block(dtype, causal, n_layers, monkeypatch):
+    cfg = ModelConfig(d_model=16, n_layers=n_layers, n_state=4, bins=17,
+                      outer_conv_causal=causal)
+    w = init_params(cfg, 3, dtype=dtype)
+    rng = np.random.default_rng(n_layers)
+    for length in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 5 * BLOCK):
+        y = Tensor(np.abs(rng.standard_normal((length, 17))), dtype=dtype)
+        one = _grouped_forward(y, w, cfg, 1, monkeypatch)
+        two = _grouped_forward(y, w, cfg, 2, monkeypatch)
+        np.testing.assert_array_equal(one, two, err_msg=f"L {length}")
+        whole = _one_block_forward(y, w, cfg, monkeypatch)
+        np.testing.assert_allclose(one, whole, rtol=0, atol=BLOCKED_TOL[dtype],
+                                   err_msg=f"L {length}")
+
+
+def test_blocked_forward_groups_under_thread_contention(monkeypatch):
+    """Four groups on one thread each, switched every microsecond, hand
+    their blocks on without loss or reordering."""
+    cfg = tiny_cfg(n_layers=4)
+    w = init_params(cfg, 5, dtype=np.float64)
+    y = t64(np.abs(np.random.default_rng(9).standard_normal((6 * BLOCK + 7, 17))))
+    want = _grouped_forward(y, w, cfg, 1, monkeypatch)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(
+            target=lambda: got.append(_grouped_forward(y, w, cfg, 4, monkeypatch)),
+            daemon=True)
+        runner.start()
+        runner.join(120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive(), "4-group forward hung"
+    np.testing.assert_array_equal(got[0], want)
+
+
+def test_bidirectional_forward_stays_one_block(monkeypatch):
+    cfg = tiny_cfg(bidirectional=True)
+    w = init_params(cfg, 4, dtype=np.float64)
+    y = t64(np.abs(np.random.default_rng(6).standard_normal((2 * BLOCK + 3, 17))))
+    np.testing.assert_array_equal(_grouped_forward(y, w, cfg, 2, monkeypatch),
+                                  _one_block_forward(y, w, cfg, monkeypatch))
+
+
+def _forward_error(y, w, cfg, groups, monkeypatch) -> ValueError:
+    """The error of a forward on its own thread, which must end within 60 s."""
+    caught = []
+
+    def call():
+        try:
+            _grouped_forward(y, w, cfg, groups, monkeypatch)
+        except ValueError as exc:
+            caught.append(exc)
+
+    before = threading.active_count()
+    runner = threading.Thread(target=call, daemon=True)
+    runner.start()
+    runner.join(60.0)
+    assert not runner.is_alive(), f"{groups}-group forward hung"
+    assert threading.active_count() == before
+    assert len(caught) == 1
+    return caught[0]
+
+
+@pytest.mark.parametrize("layer", [0, 3])
+def test_blocked_forward_stage_failure_raises_and_ends(layer, monkeypatch):
+    """A NaN weight in either group's layers raises the one-thread error; a
+    failing first group does not leave the second waiting for input."""
+    cfg = tiny_cfg(n_layers=4)
+    w = init_params(cfg, 8, dtype=np.float64)
+    w.layers[layer].mamba.in_proj_x.data[1, 2] = np.nan
+    y = t64(np.abs(np.random.default_rng(7).standard_normal((3 * BLOCK + 5, 17))))
+    one = _forward_error(y, w, cfg, 1, monkeypatch)
+    two = _forward_error(y, w, cfg, 2, monkeypatch)
+    assert str(two) == str(one) == "non-finite values produced by matmul"
 
 
 def test_init_deterministic_and_bounded():

@@ -268,6 +268,30 @@ def test_scan_across_chunk_edges_matches_loop(length, chunk16):
     assert np.max(np.abs(selective_scan_seq(u, si, p).data - want)) < 1e-10
 
 
+@pytest.mark.parametrize("cut", [1, EDGE_CHUNK, EDGE_CHUNK + 3])
+def test_scan_carried_state_continues_the_recurrence(cut, chunk16):
+    """Two calls that hand the state on give one call's bits, and leave the
+    state after the last step."""
+    rng = np.random.default_rng(cut)
+    d_inner, n, length = 6, 4, 2 * EDGE_CHUNK + 5
+    p = make_params(d_inner, n, rng)
+    p.d_skip.data[:] = rng.uniform(0.1, 1.0, d_inner)
+    u, si = random_inputs(rng, length, d_inner, n)
+    state = np.zeros((n, d_inner))
+    parts = []
+    for rows in (slice(0, cut), slice(cut, length)):
+        part = SelectiveInputs(*(t64(t.data[rows]) for t in (si.delta, si.b, si.c)))
+        parts.append(selective_scan_seq(t64(u.data[rows]), part, p, state).data)
+    np.testing.assert_array_equal(np.concatenate(parts),
+                                  selective_scan_seq(u, si, p).data)
+    a = -np.exp(p.a_log.data)
+    h = np.zeros((d_inner, n))
+    for t in range(length):
+        a_bar, b_bar = discretize_zoh(a, si.b.data[t][None, :], si.delta.data[t][:, None])
+        h = a_bar * h + b_bar * u.data[t][:, None]
+    np.testing.assert_allclose(state, h.T, rtol=1e-12, atol=1e-14)
+
+
 # one-entry parametrisation keeps the test id it had beside a second evaluator
 @pytest.mark.parametrize("scan", [selective_scan_seq])
 def test_scan_gradients_across_chunk_edges(scan, chunk16):
