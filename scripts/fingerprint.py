@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from convmamba import training
+from convmamba import network, training
 from convmamba.audio import StftConfig, Waveform, load_wav, magnitude, save_wav
 from convmamba.checkpoint import load_checkpoint, save_checkpoint
 from convmamba.masks import MaskKind, mask_target
@@ -83,7 +83,7 @@ def fingerprints(root: Path):
     runs = (("batch1_irm", 1, MaskKind.IRM), ("batch3_irm", 3, MaskKind.IRM),
             ("batch3_psm", 3, MaskKind.PSM))
     # two workers on any host, so the batch-3 runs take the threaded path
-    training._usable_cores = lambda: 2
+    network._usable_cores = lambda: 2
     for name, batch, target in runs:
         cfg = TrainConfig(batch_size=batch, target=target, snr_lo=-5, snr_hi=10,
                           use_warmup=False, lr_base=1e-3, epochs=3, max_steps=6,

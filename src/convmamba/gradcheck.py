@@ -55,11 +55,12 @@ def run_suite() -> list[tuple[str, float]]:
     record("flip_time", lambda: sum_all(tz.mul(tz.flip_time(x), x)), {"x": x})
 
     xc = _t(rng, 7, 3)
-    for padding, width in (("causal", 4), ("centered", 3)):
+    for name, width, lookahead in (("causal", 4, 0), ("centered", 3, 1)):
         kernel = _t(rng, 3, width)
         cbias = _t(rng, 3)
-        record(f"depthwise_conv1d_{padding}",
-               lambda: sum_all(tz.silu(depthwise_conv1d(xc, kernel, cbias, padding))),
+        record(f"depthwise_conv1d_{name}",
+               lambda: sum_all(tz.silu(depthwise_conv1d(xc, kernel, cbias, flush=lookahead,
+                                                        skip=lookahead))),
                {"x": xc, "kernel": kernel, "bias": cbias})
 
     scan_cfg = ModelConfig(d_model=2, n_layers=1, n_state=3, bins=1,

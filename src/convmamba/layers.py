@@ -7,12 +7,15 @@ projected back to d_model. A layer of the full network wraps the Mamba
 layer in a residual, then applies a second residual depthwise-convolution
 sub-layer that refines local structure.
 
-A layer runs over a whole sequence, or over one time block of it at a time
-with a LayerState that carries what the next block needs: the inner conv's
-last input rows, the scan's hidden state and the outer conv's last input
-rows. A centred outer conv looks (width - 1) / 2 frames ahead, so blocked,
-its output lags its input by that many frames, and the final block flushes
-them.
+Both depthwise convs are one causal op: it reads carried rows (or zeros)
+before its input, appends flush zero rows after it and drops its first skip
+output rows. A layer runs over a sequence one time block at a time, with a
+LayerState that carries what the next block needs: the inner conv's last
+input rows, the scan's hidden state and the outer conv's last input rows. A
+whole sequence is one final block with no carried state. A centred outer
+conv looks LayerWeights.lookahead = (width - 1) / 2 frames ahead, so a
+layer's output lags its input by that many frames: the first blocks skip
+the output rows before frame 0, and the final block flushes the lag.
 """
 
 from __future__ import annotations
@@ -27,41 +30,34 @@ from .tensor import Tensor
 
 
 def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor,
-                     padding: str = "causal", past: np.ndarray | None = None) -> Tensor:
-    """Per-channel 1-D convolution over the time axis with zero padding.
+                     past: np.ndarray | None = None, flush: int = 0,
+                     skip: int = 0) -> Tensor:
+    """Causal per-channel 1-D convolution over the time axis.
 
-    kernel has shape (channels, width). Causal padding places the newest
-    sample at the last tap, so output t never sees input beyond t; centered
-    padding (odd width only) aligns the middle tap with the current frame.
+    kernel has shape (channels, width), with the newest sample at the last
+    tap, so output t never sees input beyond t. The conv reads the
+    (width - 1, channels) rows of past before x (zeros when past is None)
+    and flush zero rows after it, and drops its first skip output rows: it
+    returns len(x) + flush - skip rows. A centred conv of odd width over a
+    whole sequence is flush = skip = (width - 1) / 2.
 
-    past, for a causal conv over one time block, holds the (width - 1,
-    channels) input rows before x in place of the zero padding, and is
-    overwritten with the last width - 1 rows of past and x: the past of the
-    next block. It carries no gradient.
+    past, for one time block of a longer sequence, is overwritten with the
+    last width - 1 rows of past and x: the past of the next block. It
+    carries no gradient.
     """
     length, channels = x.data.shape
     width = kernel.data.shape[1]
     if kernel.data.shape[0] != channels:
         raise ValueError("kernel channel count mismatch")
-    if padding == "causal":
-        offset = width - 1
-    elif padding == "centered":
-        if width % 2 == 0:
-            raise ValueError("centered padding requires an odd kernel width")
-        offset = (width - 1) // 2
-    else:
-        raise ValueError(f"unknown padding {padding!r}")
-    if past is not None and offset != width - 1:
-        raise ValueError("carried rows need causal padding")
-
-    xp = np.zeros((length + width - 1, channels), dtype=x.data.dtype)
-    xp[offset:offset + length] = x.data
+    rows = length + flush - skip
+    xp = np.zeros((width - 1 + length + flush, channels), dtype=x.data.dtype)
+    xp[width - 1:width - 1 + length] = x.data
     if past is not None:
-        xp[:offset] = past
-        past[...] = xp[length:]
-    out_data = np.zeros_like(x.data)
+        xp[:width - 1] = past
+        past[...] = xp[length:length + width - 1]
+    out_data = np.zeros((rows, channels), dtype=x.data.dtype)
     for j in range(width):
-        out_data += kernel.data[:, j] * xp[j:j + length]
+        out_data += kernel.data[:, j] * xp[skip + j:skip + j + rows]
     out_data += bias.data
 
     def bwd(g):
@@ -69,14 +65,14 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor,
         if kernel.requires_grad:
             dk = np.empty_like(kernel.data)
             for j in range(width):
-                dk[:, j] = (g * xp[j:j + length]).sum(axis=0)
+                dk[:, j] = (g * xp[skip + j:skip + j + rows]).sum(axis=0)
         if bias.requires_grad:
             db = g.sum(axis=0)
         if x.requires_grad:
             dxp = np.zeros_like(xp)
             for j in range(width):
-                dxp[j:j + length] += g * kernel.data[:, j]
-            dx = dxp[offset:offset + length]
+                dxp[skip + j:skip + j + rows] += g * kernel.data[:, j]
+            dx = dxp[width - 1:width - 1 + length]
         return dx, dk, db
 
     return tz._finish("depthwise_conv1d", out_data, (x, kernel, bias), bwd)
@@ -108,6 +104,8 @@ class LayerWeights:
     conv_ln_beta: Tensor | None = None
     conv_kernel: Tensor | None = None   # (d_model, width)
     conv_bias: Tensor | None = None
+    # frames the outer conv looks ahead: (width - 1) / 2 centred, 0 causal
+    lookahead: int = 0
 
 
 @dataclass
@@ -140,7 +138,7 @@ def mamba_layer(f: Tensor, w: MambaWeights, carry: LayerState | None = None) -> 
     block of a longer sequence when carry is given."""
     conv_past, h = (None, None) if carry is None else (carry.conv, carry.scan)
     state = tz.matmul(f, w.in_proj_x)
-    state = depthwise_conv1d(state, w.conv_kernel, w.conv_bias, "causal", conv_past)
+    state = depthwise_conv1d(state, w.conv_kernel, w.conv_bias, conv_past)
     state = tz.silu(state)
     si = ssm_parameterize(state, w.ssm)
     state = selective_scan_seq(state, si, w.ssm, h)
@@ -150,15 +148,15 @@ def mamba_layer(f: Tensor, w: MambaWeights, carry: LayerState | None = None) -> 
 
 
 def conv_mamba_layer(h_prev: Tensor, w: LayerWeights,
-                     outer_padding: str = "centered",
                      carry: LayerState | None = None, final: bool = False) -> Tensor:
     """Residual Mamba sub-layer followed by a residual depthwise-conv
     sub-layer; reverse-direction stream summed in when present.
 
     With carry, h_prev is the next time block of a unidirectional layer's
     input, and the output is the block of rows that the input so far
-    determines: with a centred outer conv, it ends lookahead rows before the
-    input does, except on the final block.
+    determines: it ends w.lookahead rows before the input does, except on
+    the final block. Without carry, h_prev is a whole sequence: one final
+    block.
     """
     if carry is not None and w.mamba_rev is not None:
         raise ValueError("a bidirectional layer cannot run block by block")
@@ -170,22 +168,14 @@ def conv_mamba_layer(h_prev: Tensor, w: LayerWeights,
     if w.conv_kernel is None:
         return e
     normed_e = tz.layer_norm(e, w.conv_ln_gamma, w.conv_ln_beta)
-    if carry is None:
-        refined = depthwise_conv1d(normed_e, w.conv_kernel, w.conv_bias, outer_padding)
-        return tz.add(refined, e)
-    # run causally over the carried rows: a centred conv's output row for
-    # frame t then comes out with input row t + lookahead, and the final
-    # block appends the zero rows past the end
-    width = w.conv_kernel.data.shape[1]
-    lookahead = (width - 1) // 2 if outer_padding == "centered" else 0
-    if final and lookahead:
-        normed_e = Tensor._checked(
-            np.concatenate([normed_e.data, np.zeros((lookahead, normed_e.data.shape[1]),
-                                                    dtype=normed_e.data.dtype)]), False)
-    refined = depthwise_conv1d(normed_e, w.conv_kernel, w.conv_bias, "causal", carry.outer)
-    residual = np.concatenate([carry.pending, e.data])
-    done = len(residual) if final else max(0, len(residual) - lookahead)
-    carry.pending = residual[done:]
-    # the leading rows of the first blocks belong to frames before 0
-    return tz.add(Tensor._checked(refined.data[len(refined.data) - done:], False),
-                  Tensor._checked(residual[:done], False))
+    # output row t comes out with input row t + lookahead; the leading rows
+    # belong to frames before 0, and the final block flushes the lag
+    past, pending = (None, 0) if carry is None else (carry.outer, len(carry.pending))
+    flush = w.lookahead if final or carry is None else 0
+    skip = min(len(e.data) + flush, w.lookahead - pending)
+    refined = depthwise_conv1d(normed_e, w.conv_kernel, w.conv_bias, past, flush, skip)
+    if carry is not None:
+        residual = np.concatenate([carry.pending, e.data])
+        e = Tensor._checked(residual[:len(refined.data)], False)
+        carry.pending = residual[len(refined.data):]
+    return tz.add(refined, e)

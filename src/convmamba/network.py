@@ -5,14 +5,15 @@ frame-wise layer norm in front and ReLU behind) lifts it to d_model channels,
 a stack of Mamba-plus-depthwise-conv layers follows, and a pointwise
 convolution with sigmoid produces the estimated mask.
 
-An untaped forward of a unidirectional model over more than BLOCK frames
-runs the layer stack one time block at a time, pipelined over the usable
-cores (see _blocked_layers).
+An untaped forward of a unidirectional model over more than one time block
+(block_frames) runs the layer stack one block at a time, pipelined over the
+usable cores (see _blocked_layers).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import queue
 import threading
 from dataclasses import dataclass, field
@@ -52,6 +53,8 @@ class ModelConfig:
                      "expansion", "outer_dw_kernel", "bins"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.conv_refine and not self.outer_conv_causal and self.outer_dw_kernel % 2 == 0:
+            raise ValueError("a centred outer conv needs an odd outer_dw_kernel")
 
     @property
     def d_inner(self) -> int:
@@ -168,6 +171,7 @@ def _walk(cfg: ModelConfig, alloc) -> NetworkWeights:
                                       (cfg.d_model, cfg.outer_dw_kernel),
                                       ("uniform", cfg.outer_dw_kernel))
             layer.conv_bias = alloc(f"{prefix}.conv.bias", (cfg.d_model,), ("zeros",))
+            layer.lookahead = 0 if cfg.outer_conv_causal else (cfg.outer_dw_kernel - 1) // 2
         layers.append(layer)
     out_weight = alloc("output_proj.weight", (cfg.d_model, cfg.bins),
                        ("uniform", cfg.d_model))
@@ -252,12 +256,19 @@ def init_params(cfg: ModelConfig, seed: int, dtype=None) -> NetworkWeights:
 # forward passes
 # ---------------------------------------------------------------------------
 
-# frames per time block of a blocked forward: a block's (frames, d_inner)
-# intermediates stay in L2 (256 KiB at d_inner 512 in float32), where a
-# whole long file's spill out of it; of 64, 128, 256 and 512 frames, 128
-# and 256 enhanced 1-32 s files fastest, and a shorter block fills the
-# layer-group pipeline sooner
-BLOCK = 128
+def block_frames(d_inner: int, itemsize: int) -> int:
+    """Frames per time block of a blocked forward: as many as fit a (frames,
+    d_inner) buffer in 256 KiB, so a block's intermediates stay in L2 where a
+    whole long file's spill out of it (128 frames at d_inner 512 in float32).
+    Of 64, 128, 256 and 512 frames there, 128 and 256 enhanced 1-32 s files
+    fastest, and a shorter block fills the layer-group pipeline sooner."""
+    return max(1, 256 * 1024 // (d_inner * itemsize))
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def forward(y_mag: Tensor, w: NetworkWeights, cfg: ModelConfig) -> Tensor:
@@ -265,14 +276,14 @@ def forward(y_mag: Tensor, w: NetworkWeights, cfg: ModelConfig) -> Tensor:
     magnitude input."""
     if y_mag.data.ndim != 2 or y_mag.data.shape[1] != cfg.bins:
         raise ValueError(f"expected (L, {cfg.bins}) input, got {y_mag.data.shape}")
-    outer_padding = "causal" if cfg.outer_conv_causal else "centered"
     x = tz.layer_norm(y_mag, w.in_ln_gamma, w.in_ln_beta)
     x = tz.relu(tz.add(tz.matmul(x, w.in_weight), w.in_bias))
-    if x.requires_grad or cfg.bidirectional or len(x.data) <= BLOCK:
+    block = block_frames(cfg.d_inner, x.data.itemsize)
+    if x.requires_grad or cfg.bidirectional or len(x.data) <= block:
         for layer in w.layers:
-            x = conv_mamba_layer(x, layer, outer_padding)
+            x = conv_mamba_layer(x, layer)
     else:
-        x = _blocked_layers(x.data, w, outer_padding)
+        x = _blocked_layers(x.data, w, block)
     logits = tz.add(tz.matmul(x, w.out_weight), w.out_bias)
     return tz.sigmoid(logits)
 
@@ -283,15 +294,15 @@ def _received(inbox: queue.SimpleQueue):
         yield block
 
 
-def _blocked_layers(x: np.ndarray, w: NetworkWeights, outer_padding: str) -> Tensor:
-    """The untaped layer stack over x one BLOCK-frame span at a time.
+def _blocked_layers(x: np.ndarray, w: NetworkWeights, block: int) -> Tensor:
+    """The untaped layer stack over x one block-frame span at a time.
 
     Each layer carries a LayerState from one span to the next, so the
     result is the whole-sequence one up to the rounding of row-blocked
     matmuls. A centred outer conv makes each layer's output lag its input
     by its lookahead, so layer i's spans end i * (outer_dw_kernel - 1) / 2
-    frames before each multiple of BLOCK; with a causal one they end on
-    them. The spans depend only on L and the config.
+    frames before each multiple of block; with a causal one they end on
+    them. The spans depend only on L, the config and the dtype.
 
     The layers split into min(usable cores, n_layers) contiguous groups.
     The calling thread runs the first group; each other group runs on a
@@ -300,8 +311,7 @@ def _blocked_layers(x: np.ndarray, w: NetworkWeights, outer_padding: str) -> Ten
     threads have ended, the error of the failing group nearest the input is
     raised.
     """
-    from .training import _usable_cores   # training imports this module
-    spans = [x[t:t + BLOCK] for t in range(0, len(x), BLOCK)]
+    spans = [x[t:t + block] for t in range(0, len(x), block)]
     n_groups = min(_usable_cores(), len(w.layers))
     cuts = [len(w.layers) * g // n_groups for g in range(n_groups + 1)]
     inboxes = [queue.SimpleQueue() for _ in range(n_groups)]
@@ -319,8 +329,7 @@ def _blocked_layers(x: np.ndarray, w: NetworkWeights, outer_padding: str) -> Ten
                     break
                 h = Tensor._checked(block, False)
                 for layer, state in zip(layers, states):
-                    h = conv_mamba_layer(h, layer, outer_padding, state,
-                                         final=k == len(spans) - 1)
+                    h = conv_mamba_layer(h, layer, state, final=k == len(spans) - 1)
                 emit(h.data)
         except BaseException as exc:
             errors[g] = exc

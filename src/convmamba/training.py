@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import network
 from . import tensor as tz
 from .audio import (DegenerateSignalError, StftConfig, Waveform, load_wav,
                     magnitude, mix_at_snr)
@@ -273,12 +273,6 @@ def batch_gradients(batch: list[TrainItem], weights: NetworkWeights,
     return float(total * total.dtype.type(1.0 / n))
 
 
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -317,7 +311,7 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
     step = 0
     last_loss = math.nan
     stop = False
-    threads = min(_usable_cores(), train_cfg.batch_size)
+    threads = min(network._usable_cores(), train_cfg.batch_size)
     with open(csv_path, "w", encoding="utf-8") as log, (
             ThreadPoolExecutor(threads, thread_name_prefix="convmamba-item")
             if threads > 1 else contextlib.nullcontext()) as workers:

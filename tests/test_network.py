@@ -6,9 +6,9 @@ import threading
 import numpy as np
 import pytest
 
-from convmamba import network, training
+from convmamba import network
 from convmamba.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from convmamba.network import (BLOCK, ModelConfig, count_params, forward,
+from convmamba.network import (ModelConfig, block_frames, count_params, forward,
                                init_params, parameter_shapes)
 from convmamba.tensor import Tensor, finite_diff_check
 
@@ -132,16 +132,45 @@ def test_bidirectional_reduces_to_unidirectional_with_zero_reverse():
     assert m_bi.shape == (11, 17)
 
 
+# the time block of the blocked forwards below: at these widths the byte
+# rule gives one block, so the block128 fixture forces this one
+EDGE_BLOCK = 128
+
+
+@pytest.fixture
+def block128(monkeypatch):
+    monkeypatch.setattr(network, "block_frames", lambda *shape: EDGE_BLOCK)
+
+
+def test_block_frames_fit_256_kib(monkeypatch):
+    assert block_frames(512, 4) == 128   # convmamba-4 in float32
+    assert block_frames(512, 8) == 64
+    assert block_frames(64, 4) == 1024   # d_model 32
+    assert block_frames(1 << 20, 8) == 1
+    # forward blocks only an input that spans more than one block
+    cfg = tiny_cfg()
+    w = init_params(cfg, 2, dtype=np.float64)
+    block = block_frames(cfg.d_inner, 8)
+    blocked = []
+    real = network._blocked_layers
+    monkeypatch.setattr(network, "_blocked_layers",
+                        lambda x, *args: blocked.append(len(x)) or real(x, *args))
+    rng = np.random.default_rng(12)
+    for length in (block, block + 1):
+        forward(t64(np.abs(rng.standard_normal((length, 17)))), w, cfg)
+    assert blocked == [block + 1]
+
+
 def _one_block_forward(y, w, cfg, monkeypatch):
     """forward with the whole sequence as one block: the taped path's ops."""
     with monkeypatch.context() as m:
-        m.setattr(network, "BLOCK", len(y.data))
+        m.setattr(network, "block_frames", lambda *shape: len(y.data))
         return forward(y, w, cfg).data
 
 
 def _grouped_forward(y, w, cfg, groups, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(training, "_usable_cores", lambda: groups)
+        m.setattr(network, "_usable_cores", lambda: groups)
         return forward(y, w, cfg).data
 
 
@@ -153,12 +182,13 @@ BLOCKED_TOL = {np.float64: 1e-12, np.float32: 1e-6}
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("causal", [False, True])
 @pytest.mark.parametrize("n_layers", [1, 2, 4])
-def test_blocked_forward_matches_one_block(dtype, causal, n_layers, monkeypatch):
+def test_blocked_forward_matches_one_block(dtype, causal, n_layers, block128, monkeypatch):
     cfg = ModelConfig(d_model=16, n_layers=n_layers, n_state=4, bins=17,
                       outer_conv_causal=causal)
     w = init_params(cfg, 3, dtype=dtype)
     rng = np.random.default_rng(n_layers)
-    for length in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 5 * BLOCK):
+    for length in (EDGE_BLOCK - 1, EDGE_BLOCK, EDGE_BLOCK + 1, 2 * EDGE_BLOCK + 3,
+                   5 * EDGE_BLOCK):
         y = Tensor(np.abs(rng.standard_normal((length, 17))), dtype=dtype)
         one = _grouped_forward(y, w, cfg, 1, monkeypatch)
         two = _grouped_forward(y, w, cfg, 2, monkeypatch)
@@ -168,12 +198,12 @@ def test_blocked_forward_matches_one_block(dtype, causal, n_layers, monkeypatch)
                                    err_msg=f"L {length}")
 
 
-def test_blocked_forward_groups_under_thread_contention(monkeypatch):
+def test_blocked_forward_groups_under_thread_contention(block128, monkeypatch):
     """Four groups on one thread each, switched every microsecond, hand
     their blocks on without loss or reordering."""
     cfg = tiny_cfg(n_layers=4)
     w = init_params(cfg, 5, dtype=np.float64)
-    y = t64(np.abs(np.random.default_rng(9).standard_normal((6 * BLOCK + 7, 17))))
+    y = t64(np.abs(np.random.default_rng(9).standard_normal((6 * EDGE_BLOCK + 7, 17))))
     want = _grouped_forward(y, w, cfg, 1, monkeypatch)
     got = []
     interval = sys.getswitchinterval()
@@ -190,10 +220,10 @@ def test_blocked_forward_groups_under_thread_contention(monkeypatch):
     np.testing.assert_array_equal(got[0], want)
 
 
-def test_bidirectional_forward_stays_one_block(monkeypatch):
+def test_bidirectional_forward_stays_one_block(block128, monkeypatch):
     cfg = tiny_cfg(bidirectional=True)
     w = init_params(cfg, 4, dtype=np.float64)
-    y = t64(np.abs(np.random.default_rng(6).standard_normal((2 * BLOCK + 3, 17))))
+    y = t64(np.abs(np.random.default_rng(6).standard_normal((2 * EDGE_BLOCK + 3, 17))))
     np.testing.assert_array_equal(_grouped_forward(y, w, cfg, 2, monkeypatch),
                                   _one_block_forward(y, w, cfg, monkeypatch))
 
@@ -219,13 +249,13 @@ def _forward_error(y, w, cfg, groups, monkeypatch) -> ValueError:
 
 
 @pytest.mark.parametrize("layer", [0, 3])
-def test_blocked_forward_stage_failure_raises_and_ends(layer, monkeypatch):
+def test_blocked_forward_stage_failure_raises_and_ends(layer, block128, monkeypatch):
     """A NaN weight in either group's layers raises the one-thread error; a
     failing first group does not leave the second waiting for input."""
     cfg = tiny_cfg(n_layers=4)
     w = init_params(cfg, 8, dtype=np.float64)
     w.layers[layer].mamba.in_proj_x.data[1, 2] = np.nan
-    y = t64(np.abs(np.random.default_rng(7).standard_normal((3 * BLOCK + 5, 17))))
+    y = t64(np.abs(np.random.default_rng(7).standard_normal((3 * EDGE_BLOCK + 5, 17))))
     one = _forward_error(y, w, cfg, 1, monkeypatch)
     two = _forward_error(y, w, cfg, 2, monkeypatch)
     assert str(two) == str(one) == "non-finite values produced by matmul"

@@ -11,7 +11,7 @@ import pytest
 from convmamba.audio import DegenerateSignalError, StftConfig, Waveform, save_wav
 from convmamba.masks import MaskKind
 from convmamba.network import ModelConfig, init_params
-from convmamba import training
+from convmamba import network, training
 from convmamba.tensor import Parameter, Tape, Tensor, backward
 from convmamba.training import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS,
                                 CLIP, AdamState, TrainConfig,
@@ -362,7 +362,7 @@ def test_train_loop_worker_failure_stops_before_adam(corpus, tmp_path, monkeypat
         steps.append(1)
         return real_adam_step(*args, **kwargs)
 
-    monkeypatch.setattr(training, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(network, "_usable_cores", lambda: 2)
     monkeypatch.setattr(training, "make_batch", poisoned)
     monkeypatch.setattr(training, "adam_step", counted)
     threads = threading.active_count()
@@ -380,7 +380,7 @@ def test_train_loop_same_bytes_for_any_worker_count(corpus, tmp_path, monkeypatc
                        use_warmup=False, lr_base=1e-3, checkpoint_every=0)
     runs = []
     for cores in (1, 2):
-        monkeypatch.setattr(training, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(network, "_usable_cores", lambda: cores)
         threads = threading.active_count()
         runs.append(train_loop(mcfg, tcfg, clean, noise, tmp_path / f"cores{cores}"))
         assert threading.active_count() == threads
@@ -439,7 +439,7 @@ def test_batch_gradients_count_a_missing_gradient_as_zero(corpus, monkeypatch):
 _TRAIN_THEN_ENHANCE = """
 import sys
 from pathlib import Path
-from convmamba import training
+from convmamba import network
 from convmamba.audio import load_wav
 from convmamba.checkpoint import load_checkpoint
 from convmamba.network import ModelConfig
@@ -447,7 +447,7 @@ from convmamba.pipeline import enhance_waveform
 from convmamba.training import TrainConfig, WavPool, list_pool, train_loop
 
 clean_dir, noise_dir, out = (Path(a) for a in sys.argv[1:])
-training._usable_cores = lambda: 2
+network._usable_cores = lambda: 2
 clean, noise = WavPool(list_pool(clean_dir)), WavPool(list_pool(noise_dir))
 res = train_loop(ModelConfig(d_model=8, n_layers=1, n_state=4),
                  TrainConfig(batch_size=3, epochs=1, max_steps=2, val_items=1,
