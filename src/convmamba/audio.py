@@ -153,10 +153,16 @@ def stft(wav: Waveform, cfg: StftConfig | None = None) -> np.ndarray:
     The signal is end-padded with zeros so the last frame is complete.
     """
     cfg = cfg or StftConfig()
-    x = wav.samples
-    frames = num_frames(x.size, cfg)
-    padded = np.zeros((frames - 1) * cfg.hop + cfg.win_length)
-    padded[:x.size] = x
+    return stft_frames(wav.samples, 0, num_frames(len(wav), cfg), cfg)
+
+
+def stft_frames(x: np.ndarray, first: int, count: int, cfg: StftConfig) -> np.ndarray:
+    """Rows first to first + count of the STFT of the signal x (see stft).
+    Only the samples those frames cover are copied, zero-padded past the end
+    of x."""
+    padded = np.zeros((count - 1) * cfg.hop + cfg.win_length)
+    part = x[first * cfg.hop:first * cfg.hop + padded.size]
+    padded[:part.size] = part
     framed = np.lib.stride_tricks.sliding_window_view(padded, cfg.win_length)[::cfg.hop]
     windowed = framed * cfg.window_values()
     return np.fft.rfft(windowed, n=cfg.fft_size, axis=1)
@@ -168,41 +174,66 @@ def istft(spec: np.ndarray, cfg: StftConfig, out_len: int | None = None) -> Wave
     truncated to out_len samples."""
     if spec.ndim != 2 or spec.shape[1] != cfg.bins:
         raise AudioError(f"expected (frames, {cfg.bins}) spectrum, got {spec.shape}")
-    total = (spec.shape[0] - 1) * cfg.hop + cfg.win_length
-    if out_len is None:
-        out_len = total
-    if out_len > total:
-        raise AudioError(f"out_len {out_len} exceeds reconstructable length {total}")
-    win = cfg.window_values()
-    frames_td = np.fft.irfft(spec, n=cfg.fft_size, axis=1)
-    frames_td = frames_td[:, :cfg.win_length] * win
-    out = _overlap_add(frames_td, cfg.hop)
-    wsum = _overlap_add(np.broadcast_to(win ** 2, frames_td.shape), cfg.hop)
-    covered = wsum > 1e-10
-    out[covered] /= wsum[covered]
-    out[~covered] = 0.0
-    return Waveform(out[:out_len])
+    synth = OverlapAdd(spec.shape[0], cfg, out_len)
+    synth.add(spec)
+    return synth.result()
 
 
-def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Sum (n, win) frames placed hop samples apart into one signal of
-    (n - 1) * hop + win samples.
+class OverlapAdd:
+    """Overlap-add synthesis of a frames-long spectrum analysed with cfg,
+    fed in consecutive blocks of frames by add, truncated to out_len samples.
 
-    Each frame is zero-padded to k = ceil(win / hop) blocks of hop samples,
-    and block j of every frame is added as one slab, shifted j blocks. Going
-    from j = k - 1 down to 0 adds each sample's contributions in increasing
-    frame order onto a zero start, as a per-sample loop would. The padding
-    adds +0.0, which changes no sum: one that starts at +0.0 is never -0.0.
+    Each frame is inverted, windowed, zero-padded to k = ceil(win / hop)
+    blocks of hop samples, and block j of every frame in a block of frames is
+    added as one slab, shifted j blocks. Going from j = k - 1 down to 0 adds
+    each sample's contributions in increasing frame order onto a zero start,
+    as a per-sample loop would, and a later block of frames only adds later
+    frames, so any split into blocks gives the same bits. The padding adds
+    +0.0, which changes no sum: one that starts at +0.0 is never -0.0. The
+    window's squares are summed the same way, and a sample is divided by that
+    sum (or zeroed where it is below 1e-10) once no later frame reaches it,
+    so only the output spans the whole signal.
     """
-    n, win = frames.shape
-    k = -(-win // hop)
-    blocks = np.zeros((n, k * hop))
-    blocks[:, :win] = frames
-    blocks = blocks.reshape(n, k, hop)
-    out = np.zeros((n + k - 1, hop))
-    for j in range(k - 1, -1, -1):
-        out[j:j + n] += blocks[:, j]
-    return out.reshape(-1)[:(n - 1) * hop + win]
+
+    def __init__(self, frames: int, cfg: StftConfig, out_len: int | None = None):
+        total = (frames - 1) * cfg.hop + cfg.win_length
+        if out_len is None:
+            out_len = total
+        if out_len > total:
+            raise AudioError(f"out_len {out_len} exceeds reconstructable length {total}")
+        self.cfg, self.frames, self.out_len = cfg, frames, out_len
+        self.taps = -(-cfg.win_length // cfg.hop)
+        self.win = cfg.window_values()
+        squares = np.zeros(self.taps * cfg.hop)
+        squares[:cfg.win_length] = self.win ** 2
+        self.squares = squares.reshape(self.taps, cfg.hop)
+        self.out = np.zeros((frames + self.taps - 1, cfg.hop))
+        # window sums of the rows of hop samples that later frames still reach
+        self.wsum = np.zeros((self.taps - 1, cfg.hop))
+        self.added = 0
+
+    def add(self, spec: np.ndarray) -> None:
+        """Synthesise the next len(spec) frames of the spectrum."""
+        cfg, k, t, n = self.cfg, self.taps, self.added, len(spec)
+        blocks = np.zeros((n, k * cfg.hop))
+        frames_td = np.fft.irfft(spec, n=cfg.fft_size, axis=1)
+        np.multiply(frames_td[:, :cfg.win_length], self.win, out=blocks[:, :cfg.win_length])
+        blocks = blocks.reshape(n, k, cfg.hop)
+        wsum = np.zeros((n + k - 1, cfg.hop))
+        wsum[:k - 1] = self.wsum
+        for j in range(k - 1, -1, -1):
+            self.out[t + j:t + j + n] += blocks[:, j]
+            wsum[j:j + n] += self.squares[j]
+        self.added += n
+        done = n if self.added < self.frames else n + k - 1
+        self.wsum = wsum[done:]
+        out, wsum = self.out[t:t + done].reshape(-1), wsum[:done].reshape(-1)
+        covered = wsum > 1e-10
+        out[covered] /= wsum[covered]
+        out[~covered] = 0.0
+
+    def result(self) -> Waveform:
+        return Waveform(self.out.reshape(-1)[:self.out_len])
 
 
 def magnitude(spec: np.ndarray) -> np.ndarray:

@@ -6,8 +6,9 @@ a stack of Mamba-plus-depthwise-conv layers follows, and a pointwise
 convolution with sigmoid produces the estimated mask.
 
 An untaped forward of a unidirectional model over more than one time block
-(block_frames) runs the layer stack one block at a time, pipelined over the
-usable cores (see _blocked_layers).
+(block_frames) runs one block at a time, pipelined over the usable cores
+(see _blocked_layers); stream_mask runs any length that way, handing each
+block of mask rows on as soon as it is done.
 """
 
 from __future__ import annotations
@@ -276,77 +277,133 @@ def forward(y_mag: Tensor, w: NetworkWeights, cfg: ModelConfig) -> Tensor:
     magnitude input."""
     if y_mag.data.ndim != 2 or y_mag.data.shape[1] != cfg.bins:
         raise ValueError(f"expected (L, {cfg.bins}) input, got {y_mag.data.shape}")
-    x = tz.layer_norm(y_mag, w.in_ln_gamma, w.in_ln_beta)
-    x = tz.relu(tz.add(tz.matmul(x, w.in_weight), w.in_bias))
-    block = block_frames(cfg.d_inner, x.data.itemsize)
-    if x.requires_grad or cfg.bidirectional or len(x.data) <= block:
+    itemsize = np.result_type(y_mag.data, w.in_weight.data).itemsize
+    if (tz.recording_tape((y_mag, w.in_weight)) is not None or cfg.bidirectional
+            or len(y_mag.data) <= block_frames(cfg.d_inner, itemsize)):
+        x = _embed(y_mag, w)
         for layer in w.layers:
             x = conv_mamba_layer(x, layer)
-    else:
-        x = _blocked_layers(x.data, w, block)
-    logits = tz.add(tz.matmul(x, w.out_weight), w.out_bias)
-    return tz.sigmoid(logits)
+        return _mask(x, w)
+    return Tensor._checked(_blocked_layers(y_mag.data, w, cfg), False)
 
 
-def _received(inbox: queue.SimpleQueue):
+def stream_mask(source, w: NetworkWeights, cfg: ModelConfig, sink) -> np.ndarray:
+    """The untaped (frames, bins) mask of the len(source) magnitude frames
+    that source gives, with sink(rows) called on each span of mask rows, in
+    frame order, as soon as the span is written.
+
+    source[t:t + n] gives the magnitude rows of frames t to t + n, in
+    source.dtype, and is read one time block at a time, in frame order. A
+    unidirectional model runs block by block (see _blocked_layers); a
+    bidirectional one reads the whole input at once and hands the whole mask
+    to sink.
+    """
+    if cfg.bidirectional:
+        mask = forward(Tensor._checked(source[0:len(source)], False), w, cfg).data
+        sink(mask)
+        return mask
+    return _blocked_layers(source, w, cfg, sink)
+
+
+def _embed(y: Tensor, w: NetworkWeights) -> Tensor:
+    """Input layer norm, projection to d_model and ReLU."""
+    x = tz.layer_norm(y, w.in_ln_gamma, w.in_ln_beta)
+    return tz.relu(tz.add(tz.matmul(x, w.in_weight), w.in_bias))
+
+
+def _mask(x: Tensor, w: NetworkWeights) -> Tensor:
+    """Projection to bins and sigmoid."""
+    return tz.sigmoid(tz.add(tz.matmul(x, w.out_weight), w.out_bias))
+
+
+# spans a layer group may finish ahead of the next one: enough to keep both
+# busy, few enough that a long file's spans never pile up between them
+_QUEUED_SPANS = 2
+
+
+def _received(inbox: queue.Queue):
     """The blocks put in inbox, up to the None that ends them."""
     while (block := inbox.get()) is not None:
         yield block
 
 
-def _blocked_layers(x: np.ndarray, w: NetworkWeights, block: int) -> Tensor:
-    """The untaped layer stack over x one block-frame span at a time.
+def _blocked_layers(source, w: NetworkWeights, cfg: ModelConfig,
+                    sink=None) -> np.ndarray:
+    """The untaped network's (frames, bins) mask of the len(source) frames
+    of source (see stream_mask), one time block of block_frames frames at a
+    time.
 
-    Each layer carries a LayerState from one span to the next, so the
-    result is the whole-sequence one up to the rounding of row-blocked
-    matmuls. A centred outer conv makes each layer's output lag its input
-    by its lookahead, so layer i's spans end i * (outer_dw_kernel - 1) / 2
-    frames before each multiple of block; with a causal one they end on
-    them. The spans depend only on L, the config and the dtype.
+    The first layer group reads each block from source and embeds it; the
+    last one turns each span of its output into mask rows, writes them into
+    the mask and passes them to sink, if given. Each layer carries a
+    LayerState from one span to the next, so the result is the
+    whole-sequence one up to the rounding of row-blocked matmuls. A centred
+    outer conv makes each layer's output lag its input by its lookahead, so
+    layer i's spans end i * (outer_dw_kernel - 1) / 2 frames before each
+    multiple of the block; with a causal one they end on them. The spans
+    depend only on the frame count, the config and the dtype.
 
-    The layers split into min(usable cores, n_layers) contiguous groups.
-    The calling thread runs the first group; each other group runs on a
-    thread of its own, and takes each span from the group before it as soon
-    as that span is done. A group's error stops every group, and once all
-    threads have ended, the error of the failing group nearest the input is
-    raised.
+    The layers split into min(usable cores, n_layers, blocks) contiguous
+    groups, so a one-block input runs on the calling thread alone. The
+    calling thread runs the first group; each other group runs on a thread
+    of its own, and takes each span from the group before it as soon as that
+    span is done, at most _QUEUED_SPANS behind it. A group's error stops
+    every group, and once all threads have ended, the error of the failing
+    group nearest the input is raised.
     """
-    spans = [x[t:t + block] for t in range(0, len(x), block)]
-    n_groups = min(_usable_cores(), len(w.layers))
+    dtype = np.result_type(source.dtype, w.in_weight.data)
+    block = block_frames(cfg.d_inner, dtype.itemsize)
+    starts = range(0, len(source), block)
+    n_groups = min(_usable_cores(), len(w.layers), len(starts))
     cuts = [len(w.layers) * g // n_groups for g in range(n_groups + 1)]
-    inboxes = [queue.SimpleQueue() for _ in range(n_groups)]
-    out: list[np.ndarray] = []
+    inboxes = [queue.Queue(_QUEUED_SPANS) for _ in range(n_groups)]
+    mask = np.empty((len(source), cfg.bins), dtype=dtype)
     errors: list[BaseException | None] = [None] * n_groups
     failed = threading.Event()
 
     def run(g: int, blocks) -> None:
         layers = w.layers[cuts[g]:cuts[g + 1]]
-        states = [LayerState.zeros(layer, x.dtype) for layer in layers]
-        emit = out.append if g + 1 == n_groups else inboxes[g + 1].put
+        states = [LayerState.zeros(layer, dtype) for layer in layers]
+        done = 0    # mask rows written, by the last group
         try:
-            for k, block in enumerate(blocks):
+            for k, h in enumerate(blocks):
                 if failed.is_set():
                     break
-                h = Tensor._checked(block, False)
+                if g == 0:
+                    h = _embed(Tensor._checked(source[h:h + block], False), w)
+                else:
+                    h = Tensor._checked(h, False)
                 for layer, state in zip(layers, states):
-                    h = conv_mamba_layer(h, layer, state, final=k == len(spans) - 1)
-                emit(h.data)
+                    h = conv_mamba_layer(h, layer, state, final=k == len(starts) - 1)
+                if g + 1 < n_groups:
+                    inboxes[g + 1].put(h.data)
+                    continue
+                rows = mask[done:done + len(h.data)]
+                rows[...] = _mask(h, w).data
+                if sink is not None:
+                    sink(rows)
+                done += len(rows)
         except BaseException as exc:
             errors[g] = exc
             failed.set()
         finally:
             if g + 1 < n_groups:
                 inboxes[g + 1].put(None)
+            if g > 0:
+                # a group that stopped early takes the rest, so the one
+                # before it is never left waiting for room
+                for _ in blocks:
+                    pass
 
     threads = [threading.Thread(target=run, args=(g, _received(inboxes[g])),
                                 name=f"convmamba-layers-{g}")
                for g in range(1, n_groups)]
     for thread in threads:
         thread.start()
-    run(0, spans)
+    run(0, starts)
     for thread in threads:
         thread.join()
     for exc in errors:
         if exc is not None:
             raise exc
-    return Tensor._checked(np.concatenate(out), False)
+    return mask

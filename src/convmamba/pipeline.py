@@ -2,24 +2,69 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
-from .audio import StftConfig, Waveform, istft, magnitude, mix_at_snr, stft
+from .audio import (OverlapAdd, StftConfig, Waveform, istft, magnitude,
+                    mix_at_snr, num_frames, stft_frames)
 from .masks import MaskKind, apply_mask, mask_target
 from .metrics import MetricReport, seg_snr, si_sdr
-from .network import ModelConfig, NetworkWeights, forward
-from .tensor import Tensor
+from .network import ModelConfig, NetworkWeights, stream_mask
+from .tensor import Tensor, default_dtype
 from .training import WavPool
+
+
+class _Frames:
+    """The magnitude frames of a waveform's STFT, computed as they are read
+    (the source of network.stream_mask); each read block's complex rows are
+    kept until take hands them out, in frame order."""
+
+    def __init__(self, wav: Waveform, cfg: StftConfig):
+        self.samples, self.cfg = wav.samples, cfg
+        self.frames = num_frames(len(wav), cfg)
+        self.dtype = default_dtype()
+        self.kept: deque[np.ndarray] = deque()
+        self.used = 0   # rows of kept[0] already taken
+
+    def __len__(self) -> int:
+        return self.frames
+
+    def __getitem__(self, span: slice) -> np.ndarray:
+        stop = min(span.stop, self.frames)
+        spec = stft_frames(self.samples, span.start, stop - span.start, self.cfg)
+        self.kept.append(spec)
+        return Tensor(magnitude(spec)).data
+
+    def take(self, n: int) -> np.ndarray:
+        """The next n complex rows."""
+        parts = []
+        while n:
+            part = self.kept[0][self.used:self.used + n]
+            parts.append(part)
+            n -= len(part)
+            self.used += len(part)
+            if self.used == len(self.kept[0]):
+                self.kept.popleft()
+                self.used = 0
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def enhance_waveform(noisy: Waveform, weights: NetworkWeights, cfg: ModelConfig,
                      stft_cfg: StftConfig | None = None) -> tuple[Waveform, np.ndarray]:
     """Mask-based enhancement: STFT, estimated mask on the noisy phase,
-    inverse STFT trimmed to the input length. Returns (waveform, mask)."""
+    inverse STFT trimmed to the input length. Returns (waveform, mask).
+
+    A unidirectional model takes each time block of frames through the STFT,
+    the network and the overlap-add in the layer-group pipeline
+    (network.stream_mask), so of the arrays it makes only the output samples
+    and the mask span the whole file."""
     stft_cfg = stft_cfg or StftConfig()
-    spec = stft(noisy, stft_cfg)
-    mask = forward(Tensor(magnitude(spec)), weights, cfg).data
-    return istft(apply_mask(spec, mask), stft_cfg, out_len=len(noisy)), mask
+    frames = _Frames(noisy, stft_cfg)
+    synth = OverlapAdd(len(frames), stft_cfg, out_len=len(noisy))
+    mask = stream_mask(frames, weights, cfg,
+                       lambda rows: synth.add(apply_mask(frames.take(len(rows)), rows)))
+    return synth.result(), mask
 
 
 def evaluate_pair(clean: Waveform, noisy: Waveform, mode: str,

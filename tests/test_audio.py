@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from convmamba.audio import (AudioError, DegenerateSignalError, StftConfig,
-                             Waveform, istft, load_wav, magnitude, mix_at_snr,
-                             num_frames, save_wav, stft)
+from convmamba.audio import (AudioError, DegenerateSignalError, OverlapAdd,
+                             StftConfig, Waveform, istft, load_wav, magnitude,
+                             mix_at_snr, num_frames, save_wav, stft, stft_frames)
 
 from conftest import write_nan_wav
 
@@ -164,6 +164,22 @@ def test_stft_and_istft_match_gather_and_add_at_oracles_bitwise(win, hop):
         re, im = _gather_stft(x, cfg)
         assert spec.real.tobytes() == re.tobytes() and spec.imag.tobytes() == im.tobytes()
         assert istft(spec, cfg).samples.tobytes() == _add_at_istft(spec, cfg).tobytes()
+
+
+@pytest.mark.parametrize("win,hop", [(512, 256), (512, 128), (400, 160)])
+def test_overlap_add_in_blocks_matches_istft_bitwise(win, hop):
+    # blocks shorter than a frame's hop count (1 and 2 at hop 128) carry
+    # window sums over more than one block
+    cfg = StftConfig(win_length=win, hop=hop, fft_size=512)
+    x = np.random.default_rng(win - hop).uniform(-0.9, 0.9, 7 * hop + 3)
+    spec = stft(Waveform(x), cfg)
+    want = istft(spec, cfg, out_len=x.size).samples.tobytes()
+    for sizes in ([1] * len(spec), [2, 1, len(spec) - 3], [len(spec) - 1, 1]):
+        synth = OverlapAdd(len(spec), cfg, out_len=x.size)
+        for t0, t1 in zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)):
+            synth.add(spec[t0:t1])
+        assert synth.result().samples.tobytes() == want, sizes
+    assert stft_frames(x, 2, 3, cfg).tobytes() == spec[2:5].tobytes()
 
 
 def test_istft_zero_spectrogram():

@@ -2,15 +2,21 @@
 
 import sys
 import threading
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from convmamba import network
+from convmamba.audio import StftConfig, Waveform, istft, magnitude, stft
 from convmamba.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from convmamba.masks import apply_mask
 from convmamba.network import (ModelConfig, block_frames, count_params, forward,
                                init_params, parameter_shapes)
+from convmamba.pipeline import enhance_waveform
 from convmamba.tensor import Tensor, finite_diff_check
+
+from conftest import f64_mode
 
 
 def t64(a):
@@ -228,21 +234,24 @@ def test_bidirectional_forward_stays_one_block(block128, monkeypatch):
                                   _one_block_forward(y, w, cfg, monkeypatch))
 
 
-def _forward_error(y, w, cfg, groups, monkeypatch) -> ValueError:
-    """The error of a forward on its own thread, which must end within 60 s."""
+def _error(call, groups, monkeypatch) -> ValueError:
+    """The error of call on its own thread with this many layer groups,
+    which must end within 60 s and leave no thread behind."""
     caught = []
 
-    def call():
+    def run():
         try:
-            _grouped_forward(y, w, cfg, groups, monkeypatch)
+            with monkeypatch.context() as m:
+                m.setattr(network, "_usable_cores", lambda: groups)
+                call()
         except ValueError as exc:
             caught.append(exc)
 
     before = threading.active_count()
-    runner = threading.Thread(target=call, daemon=True)
+    runner = threading.Thread(target=run, daemon=True)
     runner.start()
     runner.join(60.0)
-    assert not runner.is_alive(), f"{groups}-group forward hung"
+    assert not runner.is_alive(), f"{groups}-group call hung"
     assert threading.active_count() == before
     assert len(caught) == 1
     return caught[0]
@@ -250,15 +259,147 @@ def _forward_error(y, w, cfg, groups, monkeypatch) -> ValueError:
 
 @pytest.mark.parametrize("layer", [0, 3])
 def test_blocked_forward_stage_failure_raises_and_ends(layer, block128, monkeypatch):
-    """A NaN weight in either group's layers raises the one-thread error; a
-    failing first group does not leave the second waiting for input."""
+    """A NaN weight in either group's layers raises the one-thread error,
+    from forward and from a streamed enhance_waveform; a failing first group
+    does not leave the second waiting for input."""
     cfg = tiny_cfg(n_layers=4)
     w = init_params(cfg, 8, dtype=np.float64)
     w.layers[layer].mamba.in_proj_x.data[1, 2] = np.nan
     y = t64(np.abs(np.random.default_rng(7).standard_normal((3 * EDGE_BLOCK + 5, 17))))
-    one = _forward_error(y, w, cfg, 1, monkeypatch)
-    two = _forward_error(y, w, cfg, 2, monkeypatch)
-    assert str(two) == str(one) == "non-finite values produced by matmul"
+    noisy = _noisy_frames(3 * EDGE_BLOCK + 5, np.random.default_rng(7))
+    for call in (lambda: forward(y, w, cfg),
+                 lambda: enhance_waveform(noisy, w, cfg, SMALL_STFT)):
+        one = _error(call, 1, monkeypatch)
+        two = _error(call, 2, monkeypatch)
+        assert str(two) == str(one) == "non-finite values produced by matmul"
+
+
+# an STFT with the tiny models' 17 bins
+SMALL_STFT = StftConfig(win_length=32, hop=16, fft_size=32)
+
+
+def _noisy_frames(frames, rng) -> Waveform:
+    """Noise that SMALL_STFT cuts into this many frames, the last one
+    zero-padded."""
+    n = (frames - 1) * SMALL_STFT.hop + SMALL_STFT.win_length - 5
+    return Waveform(0.3 * rng.standard_normal(n))
+
+
+def _enhance(noisy, w, cfg, groups, monkeypatch, block=None):
+    """enhance_waveform's samples and mask with this many layer groups, and
+    time blocks of block frames if given."""
+    with monkeypatch.context() as m:
+        m.setattr(network, "_usable_cores", lambda: groups)
+        if block is not None:
+            m.setattr(network, "block_frames", lambda *shape: block)
+        enhanced, mask = enhance_waveform(noisy, w, cfg, SMALL_STFT)
+    return enhanced.samples, mask
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("causal", [False, True])
+def test_streamed_enhance_matches_one_block(dtype, causal, block128, monkeypatch):
+    """Each block's STFT, network and overlap-add in the pipeline give the
+    one-block enhance: the same bits in float32, and in float64 up to the
+    rounding of row-blocked matmuls."""
+    cfg = tiny_cfg(n_layers=2, outer_conv_causal=causal)
+    w = init_params(cfg, 13, dtype=dtype)
+    rng = np.random.default_rng(14)
+    # enhance_waveform feeds the network magnitudes in the default dtype
+    with f64_mode() if dtype == np.float64 else nullcontext():
+        for frames in (EDGE_BLOCK - 1, EDGE_BLOCK, EDGE_BLOCK + 1, 2 * EDGE_BLOCK + 3,
+                       5 * EDGE_BLOCK):
+            noisy = _noisy_frames(frames, rng)
+            whole = _enhance(noisy, w, cfg, 1, monkeypatch, block=frames)
+            assert whole[1].shape == (frames, 17) and whole[1].dtype == dtype
+            for groups in (1, 2):
+                got = _enhance(noisy, w, cfg, groups, monkeypatch)
+                for part, want in zip(got, whole):
+                    if dtype == np.float32:
+                        np.testing.assert_array_equal(part, want, err_msg=f"L {frames}")
+                    else:
+                        np.testing.assert_allclose(part, want, rtol=0, atol=1e-12,
+                                                   err_msg=f"L {frames}")
+
+
+def test_blocked_groups_run_at_most_a_few_blocks_apart(block128, monkeypatch):
+    """A first group that outpaces the last waits for room, so the blocks
+    between them, and the spectra an enhance keeps for them, stay few; a
+    last group that fails meanwhile does not leave it waiting."""
+    import time
+
+    class Source:
+        def __init__(self, y):
+            self.y, self.dtype, self.reads = y, y.dtype, 0
+
+        def __len__(self):
+            return len(self.y)
+
+        def __getitem__(self, span):
+            self.reads += 1
+            return self.y[span]
+
+    cfg = tiny_cfg()
+    w = init_params(cfg, 18, dtype=np.float64)
+    source = Source(np.abs(np.random.default_rng(19).standard_normal((12 * EDGE_BLOCK, 17))))
+    ahead = []
+
+    def slow_sink(rows):
+        ahead.append(source.reads - len(ahead))
+        time.sleep(0.02)
+
+    monkeypatch.setattr(network, "_usable_cores", lambda: 2)
+    network.stream_mask(source, w, cfg, slow_sink)
+    assert len(ahead) == 12
+    assert max(ahead) <= network._QUEUED_SPANS + 2, ahead
+
+    def failing_sink(rows):
+        time.sleep(0.05)
+        raise ValueError("sink failed")
+
+    error = _error(lambda: network.stream_mask(source, w, cfg, failing_sink), 2, monkeypatch)
+    assert str(error) == "sink failed"
+
+
+def test_bidirectional_enhance_stays_whole_sequence(block128, monkeypatch):
+    cfg = tiny_cfg(bidirectional=True)
+    w = init_params(cfg, 4, dtype=np.float32)
+    noisy = _noisy_frames(2 * EDGE_BLOCK + 3, np.random.default_rng(15))
+    spec = stft(noisy, SMALL_STFT)
+    mask = _one_block_forward(Tensor(magnitude(spec)), w, cfg, monkeypatch)
+    want = istft(apply_mask(spec, mask), SMALL_STFT, out_len=len(noisy)).samples
+    for groups in (1, 2):
+        samples, got = _enhance(noisy, w, cfg, groups, monkeypatch)
+        np.testing.assert_array_equal(got, mask)
+        np.testing.assert_array_equal(samples, want)
+
+
+def test_enhance_memory_grows_only_with_its_outputs(block128, monkeypatch):
+    """Past the samples and the mask, a streamed enhance holds only per-block
+    arrays: between 8 and 72 blocks on two layer groups, its peak allocation
+    grows by at most 1.25 times the growth of those two outputs. Which
+    per-block arrays the two threads hold at once depends on their timing,
+    so each length takes the largest peak of three runs, and the lengths
+    are far enough apart for the outputs' growth to dwarf that spread."""
+    import tracemalloc
+    cfg = tiny_cfg()
+    w = init_params(cfg, 16)
+    rng = np.random.default_rng(17)
+    peaks, outputs = {}, {}
+    monkeypatch.setattr(network, "_usable_cores", lambda: 2)
+    for frames in (8 * EDGE_BLOCK, 72 * EDGE_BLOCK):
+        noisy = _noisy_frames(frames, rng)
+        enhance_waveform(noisy, w, cfg, SMALL_STFT)
+        peaks[frames] = 0
+        for _ in range(3):
+            tracemalloc.start()
+            enhanced, mask = enhance_waveform(noisy, w, cfg, SMALL_STFT)
+            peaks[frames] = max(peaks[frames], tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        outputs[frames] = enhanced.samples.nbytes + mask.nbytes
+    small, large = sorted(peaks)
+    growth = peaks[large] - peaks[small]
+    assert growth <= 1.25 * (outputs[large] - outputs[small]), (peaks, outputs)
 
 
 def test_init_deterministic_and_bounded():
