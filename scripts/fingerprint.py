@@ -5,7 +5,8 @@
 
 Two source trees that print the same lines compute the same bits for:
 init_params (two presets, both dtypes), a checkpoint save -> load -> save,
-training mixtures with their IRM and PSM targets, short training runs
+training mixtures with their IRM and PSM targets, a PCM16 and a float32
+file each loaded twice through a WavPool, short training runs
 (batch 1, and batch 3 with IRM and PSM targets on two worker threads:
 metrics.csv and the final checkpoint), enhance_waveform on a 1 s file and
 on a 500-frame file (four time blocks, on two layer groups), the eval CSV in
@@ -78,6 +79,15 @@ def fingerprints(root: Path):
                  for _ in range(4)]
         yield (f"sample_mixture/{target.value}",
                digest(b"".join(i.noisy_mag.tobytes() + i.target.tobytes() for i in items)))
+
+    # the corpus decode: a PCM16 and a float32 file, each loaded twice
+    draw = np.random.default_rng(4)
+    for encoding in ("pcm16", "float32"):
+        path = root / f"decode_{encoding}.wav"
+        save_wav(path, Waveform(0.5 * draw.standard_normal(RATE)), encoding=encoding)
+        pool = WavPool([path])
+        yield (f"wav_pool/{encoding}",
+               digest(pool.load(0).samples.tobytes() + pool.load(0).samples.tobytes()))
 
     small = ModelConfig(d_model=16, n_layers=2)
     runs = (("batch1_irm", 1, MaskKind.IRM), ("batch3_irm", 3, MaskKind.IRM),

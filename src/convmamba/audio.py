@@ -71,6 +71,12 @@ class StftConfig:
 
 def load_wav(path) -> Waveform:
     """Read a mono 16 kHz WAV file (PCM16 little-endian or IEEE float32)."""
+    return decode_wav(path, *read_wav(path))
+
+
+def read_wav(path) -> tuple[np.ndarray, float]:
+    """The samples of a mono 16 kHz WAV file as the file encodes them (int16
+    or float32), and the scale that decode_wav divides them by."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -108,9 +114,13 @@ def load_wav(path) -> Waveform:
     if len(data) % (bits // 8):
         raise AudioError(f"{path}: data chunk of {len(data)} bytes is not a whole"
                          f" number of {bits}-bit samples")
-    samples = np.frombuffer(data, dtype=dtype).astype(np.float64) / scale
+    return np.frombuffer(data, dtype=dtype), scale
+
+
+def decode_wav(path, encoded: np.ndarray, scale: float) -> Waveform:
+    """The float64 waveform of read_wav's samples; errors name the file."""
     try:
-        return Waveform(samples, rate)
+        return Waveform(encoded.astype(np.float64) / scale)
     except AudioError as exc:
         raise AudioError(f"{path}: {exc}") from None
 

@@ -69,6 +69,15 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def name(self) -> str:
+        """A u16-length-prefixed UTF-8 name: a config key or parameter name."""
+        (n,) = self.unpack("<H")
+        raw = self.take(n)
+        try:
+            return raw.decode()
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{self.path}: name {raw!r} is not UTF-8") from None
+
 
 def load_checkpoint(path, dtype=None) -> tuple[NetworkWeights, ModelConfig]:
     """Restore (weights, config); every parameter is validated against the
@@ -84,8 +93,7 @@ def load_checkpoint(path, dtype=None) -> tuple[NetworkWeights, ModelConfig]:
     kwargs = {}
     valid_keys = {f.name for f in fields(ModelConfig)}
     for _ in range(n_cfg):
-        (klen,) = r.unpack("<H")
-        key = r.take(klen).decode()
+        key = r.name()
         (tag,) = r.unpack("<B")
         if tag == _TAG_BOOL:
             kwargs[key] = bool(r.unpack("<B")[0])
@@ -95,7 +103,10 @@ def load_checkpoint(path, dtype=None) -> tuple[NetworkWeights, ModelConfig]:
             raise CheckpointError(f"{path}: unknown config tag {tag}")
         if key not in valid_keys:
             raise CheckpointError(f"{path}: unknown config key {key!r}")
-    cfg = ModelConfig(**kwargs)
+    try:
+        cfg = ModelConfig(**kwargs)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
 
     expected = parameter_shapes(cfg)
     (n_params,) = r.unpack("<I")
@@ -104,8 +115,7 @@ def load_checkpoint(path, dtype=None) -> tuple[NetworkWeights, ModelConfig]:
             f"{path}: {n_params} parameters stored, config implies {len(expected)}")
     flat, views = new_flat([shape for _, shape in expected], dtype or tz.default_dtype())
     for (want_name, want_shape), view in zip(expected, views):
-        (nlen,) = r.unpack("<H")
-        name = r.take(nlen).decode()
+        name = r.name()
         (rank,) = r.unpack("<B")
         shape = r.unpack(f"<{rank}I")
         if name != want_name or tuple(shape) != tuple(want_shape):

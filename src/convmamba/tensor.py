@@ -81,8 +81,9 @@ class Parameter:
 class Tape:
     """Ordered record of primitive ops; replayed in reverse by backward().
 
-    Single use: one backward pass consumes the tape, a second raises. A tape
-    records only the ops of the thread that opened it.
+    Single use: one backward pass consumes the tape, emptying it as it goes
+    (so len(tape) reads 0 afterwards), and a second raises. A tape records
+    only the ops of the thread that opened it.
     """
 
     def __init__(self):
@@ -143,7 +144,9 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
     that requires a gradient.
 
     Ops run in reverse tape order and each sums into its inputs in input
-    order; an op's output gradient is freed once its adjoint has run.
+    order. Each op leaves the tape as its turn comes, so its adjoint and the
+    arrays it saved are freed as soon as it has run, as is its output
+    gradient; the tape is empty afterwards.
     """
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss")
@@ -151,7 +154,9 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
         raise RuntimeError("tape already consumed by a previous backward pass")
     tape.consumed = True
     grads = {loss: np.ones_like(loss.data)}
-    for out, inputs, backward_fn in reversed(tape._ops):
+    ops = tape._ops
+    while ops:
+        out, inputs, backward_fn = ops.pop()
         g = grads.pop(out, None)
         if g is None:
             continue

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,8 +25,8 @@ import numpy as np
 
 from . import network
 from . import tensor as tz
-from .audio import (DegenerateSignalError, StftConfig, Waveform, load_wav,
-                    magnitude, mix_at_snr)
+from .audio import (DegenerateSignalError, StftConfig, Waveform, decode_wav,
+                    magnitude, mix_at_snr, read_wav)
 from .checkpoint import save_checkpoint
 from .masks import MaskKind, mask_mse_loss, mask_target
 from .network import ModelConfig, NetworkWeights, forward, init_params
@@ -146,23 +147,38 @@ def clip_gradients(grad: np.ndarray) -> np.ndarray:
 # data sampling and batching
 # ---------------------------------------------------------------------------
 
+# bytes of encoded samples one WavPool keeps: about 4.6 hours of PCM16, where
+# float64 waveforms would take 4 times as much
+POOL_BYTES = 512 << 20
+
+
 class WavPool:
-    """A list of WAV paths with cached decoding."""
+    """A list of WAV paths. Each file's samples are kept as the file encodes
+    them (int16 or float32), the least recently loaded dropped first once more
+    than POOL_BYTES are held, and every load decodes them to a new Waveform
+    as load_wav does."""
 
     def __init__(self, paths):
         self.paths = [Path(p) for p in paths]
         if not self.paths:
             raise ValueError("empty pool")
-        self._cache: dict[Path, Waveform] = {}
+        self._cache: OrderedDict[Path, tuple[np.ndarray, float]] = OrderedDict()
+        self.held_bytes = 0
 
     def __len__(self):
         return len(self.paths)
 
     def load(self, index: int) -> Waveform:
         path = self.paths[index]
-        if path not in self._cache:
-            self._cache[path] = load_wav(path)
-        return self._cache[path]
+        entry = self._cache.get(path)
+        if entry is None:
+            entry = self._cache[path] = read_wav(path)
+            self.held_bytes += entry[0].nbytes
+            while self.held_bytes > POOL_BYTES:
+                self.held_bytes -= self._cache.popitem(last=False)[1][0].nbytes
+        else:
+            self._cache.move_to_end(path)
+        return decode_wav(path, *entry)
 
 
 def list_pool(root, manifest=None) -> list[Path]:

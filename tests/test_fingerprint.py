@@ -29,7 +29,7 @@ def test_fingerprint_is_stable_run_to_run():
     names = [line.split()[0] for line in lines]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines), first
     assert len(set(names)) == len(names)
-    for prefix in ("init_params/", "checkpoint/", "sample_mixture/", "train/",
-                   "enhance_waveform/", "eval/", "grad/"):
+    for prefix in ("init_params/", "checkpoint/", "sample_mixture/", "wav_pool/",
+                   "train/", "enhance_waveform/", "eval/", "grad/"):
         assert any(name.startswith(prefix) for name in names), prefix
     assert elapsed < 20.0, f"two runs took {elapsed:.1f}s"

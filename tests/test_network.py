@@ -612,3 +612,31 @@ def test_checkpoint_config_mismatch_names_offender(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="input_proj.weight"):
         load_checkpoint(path)
+
+
+def test_checkpoint_config_that_fails_validation_names_file(tmp_path):
+    cfg = tiny_cfg()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(cfg, 0), cfg)
+    raw = bytearray(path.read_bytes())
+    # an even outer_dw_kernel with the default centred outer conv
+    key = b"outer_dw_kernel"
+    at = raw.index(key) + len(key) + 1
+    raw[at:at + 4] = (2).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="odd outer_dw_kernel") as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("name", [b"d_model", b"input_proj.weight"])
+def test_checkpoint_name_that_is_not_utf8_names_file(tmp_path, name):
+    cfg = tiny_cfg()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(cfg, 0), cfg)
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(name)] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="not UTF-8") as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")

@@ -1,6 +1,7 @@
 """Tensor engine: op semantics, adjoints vs finite differences, tape contract."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -189,6 +190,21 @@ def test_tape_single_use():
     backward(loss, tape)
     with pytest.raises(RuntimeError):
         backward(loss, tape)
+
+
+def test_backward_empties_the_tape():
+    # each op leaves the tape as backward reaches it, and with it the arrays
+    # its adjoint saved
+    x = t64([0.5, -1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        y = silu(x)
+        loss = sum_all(y)
+    assert len(tape) == 2
+    saved = weakref.ref(y.data)
+    del y
+    backward(loss, tape)
+    assert len(tape) == 0
+    assert saved() is None
 
 
 def test_finite_diff_on_sum():

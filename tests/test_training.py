@@ -3,12 +3,14 @@
 import hashlib
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from convmamba.audio import DegenerateSignalError, StftConfig, Waveform, save_wav
+from convmamba.audio import (AudioError, DegenerateSignalError, StftConfig, Waveform,
+                             load_wav, save_wav)
 from convmamba.masks import MaskKind
 from convmamba.network import ModelConfig, init_params
 from convmamba import network, training
@@ -19,6 +21,8 @@ from convmamba.training import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS,
                                 clip_gradients, list_pool, make_batch,
                                 sample_mixture, train_loop, warmup_lr,
                                 lr_for_step)
+
+from conftest import write_nan_wav
 
 
 def test_warmup_reference_values():
@@ -192,6 +196,40 @@ def test_sample_mixture_psm_target(corpus):
     item = sample_mixture(clean, noise, TrainConfig(target=MaskKind.PSM),
                           np.random.default_rng(0))
     assert item.target.min() >= 0.0 and item.target.max() <= 1.0
+
+
+def test_wav_pool_keeps_encoded_samples_within_its_byte_bound(tmp_path, monkeypatch):
+    rng = np.random.default_rng(6)
+    paths = []
+    for i, (n, encoding) in enumerate([(1000, "pcm16"), (1500, "pcm16"),
+                                       (800, "float32")]):
+        paths.append(tmp_path / f"{i}.wav")
+        save_wav(paths[-1], Waveform(0.3 * rng.standard_normal(n)), encoding=encoding)
+    reads = []
+    read_wav = training.read_wav
+    monkeypatch.setattr(training, "read_wav", lambda p: reads.append(p) or read_wav(p))
+    monkeypatch.setattr(training, "POOL_BYTES", 6000)
+    pool = WavPool(paths)
+    held = []
+    for i in (0, 1, 0, 2, 0, 1, 2):
+        wav = pool.load(i)
+        assert wav.samples.dtype == np.float64
+        assert wav.samples.tobytes() == load_wav(paths[i]).samples.tobytes()
+        held.append(pool.held_bytes)
+    # 2 and 4 bytes a sample, as the files store them. File 2 drops file 1,
+    # which was loaded less recently than file 0; file 1 then drops file 2,
+    # and file 2 drops both
+    assert held == [2000, 5000, 5000, 5200, 5200, 5000, 3200]
+    assert all(h <= 6000 for h in held)
+    assert [p.name for p in reads] == ["0.wav", "1.wav", "2.wav", "1.wav", "2.wav"]
+    # each load is its own waveform
+    assert pool.load(2).samples is not pool.load(2).samples
+
+    bad = WavPool([write_nan_wav(tmp_path / "nan.wav")])
+    for _ in range(2):
+        with pytest.raises(AudioError, match="non-finite") as err:
+            bad.load(0)
+        assert str(tmp_path / "nan.wav") in str(err.value)
 
 
 def test_sample_mixture_silent_pool_errors(tmp_path):
@@ -434,6 +472,35 @@ def test_batch_gradients_count_a_missing_gradient_as_zero(corpus, monkeypatch):
     views = weights.grad_views()
     assert not views[0].any()
     np.testing.assert_array_equal(views[1], second_item[1])
+
+
+def test_item_gradients_peak_is_one_tape_not_tape_and_gradients():
+    # backward frees each op as it passes it, so the gradients it returns
+    # replace the activations the tape held at the forward/backward turn,
+    # rather than adding to them
+    mcfg = ModelConfig.preset("convmamba-4")
+    weights = init_params(mcfg, 0)
+    rng = np.random.default_rng(9)
+    item = training.TrainItem(rng.random((62, 257)).astype(np.float32),
+                              rng.random((62, 257)).astype(np.float32), {})
+    training._item_gradients(weights, item, 1, mcfg)  # the scan's reused blocks
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            loss = training._item_loss(item, weights, mcfg)
+        turn = tracemalloc.get_traced_memory()[0] - base
+        backward(loss, tape)  # which hands the scan's blocks back for reuse
+        del tape, loss
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        training._item_gradients(weights, item, 1, mcfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    grad_bytes = weights.flat.nbytes
+    assert turn > grad_bytes, (turn, grad_bytes)
+    assert peak < turn + grad_bytes / 2, (peak / 2**20, turn / 2**20, grad_bytes / 2**20)
 
 
 _TRAIN_THEN_ENHANCE = """
