@@ -7,7 +7,7 @@ Two source trees that print the same lines compute the same bits for:
 init_params (two presets, both dtypes), a checkpoint save -> load -> save,
 training mixtures with their IRM and PSM targets, a PCM16 and a float32
 file each loaded twice through a WavPool, short training runs
-(batch 1, and batch 3 with IRM and PSM targets on two worker threads:
+(batch 1, and batch 3 with IRM and PSM targets on two worker processes:
 metrics.csv and the final checkpoint), enhance_waveform on a 1 s file and
 on a 500-frame file (four time blocks, on two layer groups), the eval CSV in
 each mode, and one convmamba-4 item's loss and gradient (a 2 s,
@@ -92,7 +92,7 @@ def fingerprints(root: Path):
     small = ModelConfig(d_model=16, n_layers=2)
     runs = (("batch1_irm", 1, MaskKind.IRM), ("batch3_irm", 3, MaskKind.IRM),
             ("batch3_psm", 3, MaskKind.PSM))
-    # two workers on any host, so the batch-3 runs take the threaded path
+    # two workers on any host, so the batch-3 runs take the worker-process path
     network._usable_cores = lambda: 2
     for name, batch, target in runs:
         cfg = TrainConfig(batch_size=batch, target=target, snr_lo=-5, snr_hi=10,

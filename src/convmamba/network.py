@@ -103,11 +103,12 @@ class NetworkWeights:
         return self._grad_views
 
 
-def new_flat(shapes, dtype) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A new, unfilled flat array and its consecutive views, one of each
-    shape."""
+def new_flat(shapes, dtype, buffer=None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A flat array and its consecutive views, one of each shape: new and
+    unfilled, or laid over the start of a writable buffer."""
     ends = np.cumsum([math.prod(shape) for shape in shapes])
-    flat = np.empty(int(ends[-1]), dtype=dtype)
+    flat = (np.empty(int(ends[-1]), dtype=dtype) if buffer is None
+            else np.frombuffer(buffer, dtype=dtype, count=int(ends[-1])))
     return flat, [part.reshape(shape)
                   for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
 

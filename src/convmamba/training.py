@@ -4,11 +4,11 @@ Each step draws clean utterances (epoch-shuffled), mixes each with a random
 noise segment at an integer SNR drawn uniformly from the configured range,
 builds the mask target, and takes one clipped Adam step on the mask MSE.
 The items of a batch run forward and backward on their own tapes, side by
-side on one worker thread per usable core, and their gradients are summed in
-item order, so the step does not depend on the worker count. The learning
-rate follows the inverse-sqrt warm-up schedule unless disabled, in which
-case the fixed base rate applies. Validation pairs are premixed
-once from a derived seed and scored after every epoch; the best checkpoint
+side in one worker process per usable core (ItemWorkers), and their
+gradients are summed in item order, so the step does not depend on the worker
+count. The learning rate follows the inverse-sqrt warm-up schedule unless
+disabled, in which case the fixed base rate applies. Validation pairs are
+premixed once from a derived seed and scored after every epoch; the best checkpoint
 is the one with the lowest validation loss.
 """
 
@@ -16,8 +16,12 @@ from __future__ import annotations
 
 import contextlib
 import math
+import mmap
+import pickle
+import signal
+import threading
+import traceback
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -252,7 +256,7 @@ def _item_gradients(weights: NetworkWeights, item: TrainItem, n_items: int,
     """The item's loss, and the gradients of its 1/n_items share of the batch
     loss, one per parameter in named_parameters order (None for a parameter
     the loss does not reach). Only the item's own tape and the dict that
-    backward returns hold them, so threads may share weights."""
+    backward returns hold them."""
     with Tape() as tape:
         loss = _item_loss(item, weights, cfg)
         share = tz.scale(loss, 1.0 / n_items)
@@ -260,21 +264,187 @@ def _item_gradients(weights: NetworkWeights, item: TrainItem, n_items: int,
     return loss.data, [grads.get(p.tensor) for p in weights.named_parameters()]
 
 
+class WorkerError(RuntimeError):
+    """An item worker exited, or raised an exception that could not be sent
+    back whole."""
+
+
+def _portable(exc: Exception) -> tuple:
+    """exc if it survives pickling, else its type and message; either way
+    with the worker's traceback."""
+    tb = "".join(traceback.format_exception(exc))
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return f"{type(exc).__module__}.{type(exc).__qualname__}: {exc}", tb
+    return exc, tb
+
+
+def _serve_items(conn, weights: NetworkWeights, cfg: ModelConfig,
+                 slots: list[list[np.ndarray]], parent_ends: list) -> None:
+    """An item worker: for each (index, slot, n_items, item) it receives, it
+    writes the item's gradients into that slot and replies (index, loss, the
+    parameters the loss does not reach, None), or (index, None, None, the
+    error). It exits when its pipe closes."""
+    for end in parent_ends:   # held open here, no pipe would ever read as closed
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent stops us
+    while True:
+        try:
+            index, slot, n_items, item = conn.recv()
+        except EOFError:
+            return
+        try:
+            loss, grads = _item_gradients(weights, item, n_items, cfg)
+            for view, g in zip(slots[slot], grads):
+                if g is not None:
+                    view[...] = g
+            reply = (index, loss, [i for i, g in enumerate(grads) if g is None], None)
+        except Exception as exc:
+            reply = (index, None, None, _portable(exc))
+        grads = None   # freed before the next item's tape grows
+        conn.send(reply)
+
+
+class ItemWorkers:
+    """count processes, forked once, that run items' forward and backward.
+
+    The weights they read are a copy of the given ones in an anonymous shared
+    mapping (self.weights), so an in-place update there, such as Adam's, is
+    what the next item sees. An item travels to an idle worker over its pipe;
+    the worker writes the item's gradient into one slot of a shared ring of
+    2 * count, and replies with its loss. No gradient goes through a pipe.
+    """
+
+    def __init__(self, weights: NetworkWeights, cfg: ModelConfig, count: int):
+        shapes = [shape for _, shape in network.parameter_shapes(cfg)]
+        dtype, nbytes = weights.flat.dtype, weights.flat.nbytes
+        flat, views = network.new_flat(shapes, dtype, mmap.mmap(-1, nbytes))
+        flat[...] = weights.flat
+        self.weights = network.build_weights(cfg, flat, views)
+        ring = memoryview(mmap.mmap(-1, 2 * count * nbytes))
+        self._slots = [network.new_flat(shapes, dtype, ring[k * nbytes:])[1]
+                       for k in range(2 * count)]
+        self._conns: list = []
+        self._procs: list = []
+        self._broken = ""
+        import multiprocessing   # see _item_worker_count
+        fork = multiprocessing.get_context("fork")
+        try:
+            for _ in range(count):
+                ours, theirs = fork.Pipe()
+                proc = fork.Process(target=_serve_items, name="convmamba-item", daemon=True,
+                                    args=(theirs, self.weights, cfg, self._slots,
+                                          [*self._conns, ours]))
+                proc.start()
+                theirs.close()
+                self._conns.append(ours)
+                self._procs.append(proc)
+        except BaseException:
+            self._broken = "failed to start"
+            self.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        """Stop every worker: an idle one exits once its pipe closes, and one
+        still busy after an interrupted batch is terminated."""
+        for conn in self._conns:
+            conn.close()
+        for proc in self._procs:
+            if self._broken:
+                proc.terminate()
+            proc.join(5.0)
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
+
+    def _replies(self, busy: list):
+        """(pipe, reply) for each busy worker that has replied, its pipe taken
+        off busy."""
+        from multiprocessing.connection import wait
+        for conn in wait(busy):
+            try:
+                reply = conn.recv()
+            except EOFError:
+                raise self._exited(conn) from None
+            busy.remove(conn)
+            yield conn, reply
+
+    def _exited(self, conn) -> WorkerError:
+        proc = self._procs[self._conns.index(conn)]
+        proc.join(5.0)
+        code = proc.exitcode
+        if code is not None and code < 0:
+            code = f"{code} ({signal.Signals(-code).name})"
+        self._broken = f"item worker {proc.pid} exited with code {code}"
+        return WorkerError(self._broken)
+
+    def gradients(self, batch: list[TrainItem], weights: NetworkWeights):
+        """Yield each item's loss and gradients (views into its slot, None for
+        a parameter its loss does not reach) in item order. A slot is written
+        again only after the item it holds has been yielded and the next one
+        asked for. The first failed item in item order raises its exception,
+        once the busy workers are idle again."""
+        if weights is not self.weights:
+            raise ValueError("the workers read their own shared copy of the weights")
+        if self._broken:
+            raise WorkerError(self._broken)
+        n, n_slots = len(batch), len(self._slots)
+        idle, busy = list(self._conns), []
+        done: dict[int, tuple] = {}
+        sent = 0
+        failed = False
+        try:
+            for index in range(n):
+                while index not in done:
+                    while idle and not failed and sent < min(n, index + n_slots):
+                        conn = idle.pop()
+                        try:
+                            conn.send((sent, sent % n_slots, n, batch[sent]))
+                        except OSError:
+                            raise self._exited(conn) from None
+                        busy.append(conn)
+                        sent += 1
+                    for conn, reply in self._replies(busy):
+                        idle.append(conn)
+                        done[reply[0]] = reply[1:]
+                        failed |= reply[3] is not None
+                loss, missing, error = done.pop(index)
+                if error is not None:
+                    while busy:
+                        list(self._replies(busy))
+                    exc, tb = error
+                    if isinstance(exc, str):
+                        raise WorkerError(f"{exc}\n\nworker traceback:\n{tb}")
+                    raise exc from WorkerError(f"worker traceback:\n{tb}")
+                yield loss, [None if i in missing else view
+                             for i, view in enumerate(self._slots[index % n_slots])]
+        finally:
+            if busy and not self._broken:
+                self._broken = "a batch was interrupted"
+
+
 def batch_gradients(batch: list[TrainItem], weights: NetworkWeights,
-                    cfg: ModelConfig, workers: ThreadPoolExecutor | None = None) -> float:
+                    cfg: ModelConfig, workers: ItemWorkers | None = None) -> float:
     """Sum the gradient of batch_loss into weights.flat_grad, whose
     per-parameter views are weights.grad_views(), and return that loss.
 
     Each item runs forward and backward on its own tape: on the workers,
-    which all share these weights, when given and the batch has more than
-    one item, else one after another on the calling thread. The item
+    whose shared weights these must be, when given and the batch has more
+    than one item, else one after another on the calling thread. The item
     gradients are summed in item order either way, so the result does not
     depend on the worker count. An item's exception is raised here, and
     items not yet started are dropped.
     """
     n = len(batch)
-    run = map if workers is None or n == 1 else workers.map
-    results = run(lambda item: _item_gradients(weights, item, n, cfg), batch)
+    results = ((_item_gradients(weights, item, n, cfg) for item in batch)
+               if workers is None or n == 1 else workers.gradients(batch, weights))
     views = weights.grad_views()
     total = None
     for loss, grads in results:
@@ -287,6 +457,23 @@ def batch_gradients(batch: list[TrainItem], weights: NetworkWeights,
                 view += g
     # the same additions and scaling as batch_loss's forward pass
     return float(total * total.dtype.type(1.0 / n))
+
+
+def _item_worker_count(batch_size: int) -> int:
+    """Worker processes for train_loop: one per usable core, at most one per
+    item, and none (the calling thread runs the items) for one core or one
+    item, where fork is not offered, or where another thread is alive, whose
+    locks a forked child could inherit held."""
+    count = min(network._usable_cores(), batch_size)
+    if count < 2:
+        return 0
+    # imported here, so that a run with one core or a batch of one does not
+    # pay the 10-15 ms its import takes
+    import multiprocessing
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        return 0
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +514,12 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
     step = 0
     last_loss = math.nan
     stop = False
-    threads = min(network._usable_cores(), train_cfg.batch_size)
+    count = _item_worker_count(train_cfg.batch_size)
     with open(csv_path, "w", encoding="utf-8") as log, (
-            ThreadPoolExecutor(threads, thread_name_prefix="convmamba-item")
-            if threads > 1 else contextlib.nullcontext()) as workers:
+            ItemWorkers(weights, model_cfg, count) if count
+            else contextlib.nullcontext()) as workers:
+        if workers is not None:
+            weights = workers.weights
         log.write("step,epoch,split,loss,lr\n")
         for epoch in range(1, train_cfg.epochs + 1):
             order = rng.permutation(len(clean_pool))

@@ -1,10 +1,16 @@
 """Schedule, optimizer, mixing pipeline, batching, and the training loop."""
 
+import contextlib
 import hashlib
+import multiprocessing
+import os
+import signal
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +22,8 @@ from convmamba.network import ModelConfig, init_params
 from convmamba import network, training
 from convmamba.tensor import Parameter, Tape, Tensor, backward
 from convmamba.training import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS,
-                                CLIP, AdamState, TrainConfig,
-                                WavPool, adam_step, batch_gradients, batch_loss,
+                                CLIP, AdamState, ItemWorkers, TrainConfig,
+                                WavPool, WorkerError, adam_step, batch_gradients, batch_loss,
                                 clip_gradients, list_pool, make_batch,
                                 sample_mixture, train_loop, warmup_lr,
                                 lr_for_step)
@@ -334,7 +340,21 @@ def _uneven_batch(corpus, count, seed):
     return make_batch(items)
 
 
-def test_threaded_gradients_match_single_tape(corpus):
+@contextlib.contextmanager
+def _deadline(seconds):
+    def expired(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_worker_gradients_match_single_tape(corpus):
     from conftest import f64_mode
     batch = _uneven_batch(corpus, 3, 8)
     mcfg = small_model()
@@ -344,31 +364,39 @@ def test_threaded_gradients_match_single_tape(corpus):
             loss = batch_loss(batch, weights, mcfg)
         grads = backward(loss, tape)
         want = {p.name: grads[p.tensor] for p in weights.named_parameters()}
-        with ThreadPoolExecutor(2) as workers:
-            got = batch_gradients(batch, weights, mcfg, workers)
+        with ItemWorkers(weights, mcfg, 2) as workers:
+            shared = workers.weights
+            got = batch_gradients(batch, shared, mcfg, workers)
+    assert shared.flat.dtype == np.float64
     assert abs(got - loss.item()) <= 1e-12 * abs(loss.item())
-    for p, g in zip(weights.named_parameters(), weights.grad_views()):
+    for p, g in zip(shared.named_parameters(), shared.grad_views()):
         scale = np.max(np.abs(want[p.name]))
         assert np.max(np.abs(g - want[p.name])) <= 1e-12 * scale, p.name
 
 
-def test_gradients_bitwise_equal_under_thread_contention(corpus):
-    # more workers than cores and a short switch interval: two threads
-    # sharing one gradient store would show as a bit difference
-    batch = _uneven_batch(corpus, 6, 9)
+def test_gradients_bitwise_equal_under_worker_contention(corpus, monkeypatch):
+    # more workers than cores, and more items than the 8 gradient slots, the
+    # first one slow, so that the other workers run ahead of the sum: two
+    # workers sharing one slot, or a slot written again before its item was
+    # summed, would show as a bit difference
+    batch = _uneven_batch(corpus, 10, 9)
+    batch[0].meta["slow"] = True
+    real = training._item_gradients
+
+    def slow_first(weights, item, n_items, cfg):
+        if item.meta.get("slow"):
+            time.sleep(0.2)
+        return real(weights, item, n_items, cfg)
+
+    monkeypatch.setattr(training, "_item_gradients", slow_first)
     mcfg = small_model()
     weights = init_params(mcfg, 3)
     want_loss = batch_gradients(batch, weights, mcfg)
     want = weights.flat_grad.copy()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with ThreadPoolExecutor(4) as workers:
-            for _ in range(3):
-                assert batch_gradients(batch, weights, mcfg, workers) == want_loss
-                np.testing.assert_array_equal(weights.flat_grad, want)
-    finally:
-        sys.setswitchinterval(interval)
+    with _deadline(120), ItemWorkers(weights, mcfg, 4) as workers:
+        for _ in range(3):
+            assert batch_gradients(batch, workers.weights, mcfg, workers) == want_loss
+            np.testing.assert_array_equal(workers.weights.flat_grad, want)
 
 
 def test_worker_failure_raises_and_leaves_weights(corpus):
@@ -379,11 +407,86 @@ def test_worker_failure_raises_and_leaves_weights(corpus):
     before = _weights_digest(weights)
     with pytest.raises(ValueError) as single:
         batch_loss(batch, weights, mcfg)
-    with ThreadPoolExecutor(2) as workers:
-        with pytest.raises(ValueError) as threaded:
-            batch_gradients(batch, weights, mcfg, workers)
-    assert str(threaded.value) == str(single.value)
+    with ItemWorkers(weights, mcfg, 2) as workers:
+        with pytest.raises(ValueError) as forked:
+            batch_gradients(batch, workers.weights, mcfg, workers)
+        assert _weights_digest(workers.weights) == before
+        # the workers are idle again, and the next batch runs
+        clean = _uneven_batch(corpus, 3, 11)
+        want = batch_gradients(clean, weights, mcfg)
+        assert batch_gradients(clean, workers.weights, mcfg, workers) == want
+        np.testing.assert_array_equal(workers.weights.flat_grad, weights.flat_grad)
+    assert str(forked.value) == str(single.value)
+    assert isinstance(forked.value.__cause__, WorkerError)
+    assert "worker traceback" in str(forked.value.__cause__)
     assert _weights_digest(weights) == before
+
+
+def test_workers_refuse_weights_they_do_not_share(corpus):
+    batch = _uneven_batch(corpus, 2, 10)
+    mcfg = small_model()
+    weights = init_params(mcfg, 4)
+    with ItemWorkers(weights, mcfg, 2) as workers:
+        with pytest.raises(ValueError, match="shared copy"):
+            batch_gradients(batch, weights, mcfg, workers)
+
+
+def test_unpicklable_worker_exception_arrives_whole(corpus, monkeypatch):
+    class LocalError(Exception):   # a local class cannot be pickled
+        pass
+
+    def failing(weights, item, n_items, cfg):
+        raise LocalError("cannot travel")
+
+    batch = _uneven_batch(corpus, 2, 10)
+    mcfg = small_model()
+    monkeypatch.setattr(training, "_item_gradients", failing)
+    with ItemWorkers(init_params(mcfg, 4), mcfg, 2) as workers:
+        with pytest.raises(WorkerError) as err:
+            batch_gradients(batch, workers.weights, mcfg, workers)
+    message = str(err.value)
+    assert "LocalError: cannot travel" in message
+    assert "worker traceback" in message and "in failing" in message
+
+
+def test_killed_worker_raises_naming_its_exit_code(corpus, tmp_path, monkeypatch):
+    clean, noise = pools(corpus)
+    real_make_batch, real_item_gradients = training.make_batch, training._item_gradients
+
+    def marked(items):
+        batch = real_make_batch(items)
+        batch[1].meta["kill"] = True
+        return batch
+
+    def killing(weights, item, n_items, cfg):
+        if item.meta.get("kill"):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_item_gradients(weights, item, n_items, cfg)
+
+    monkeypatch.setattr(network, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(training, "make_batch", marked)
+    monkeypatch.setattr(training, "_item_gradients", killing)
+    tcfg = TrainConfig(batch_size=3, epochs=1, seed=5, val_items=1, checkpoint_every=0)
+    with _deadline(60):
+        with pytest.raises(WorkerError, match=r"exited with code -9 \(SIGKILL\)"):
+            train_loop(small_model(), tcfg, clean, noise, tmp_path / "run")
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_exits_when_its_pipe_closes():
+    mcfg = small_model()
+    workers = ItemWorkers(init_params(mcfg, 0), mcfg, 2)
+    try:
+        # the second worker was forked after the first one's pipe was made,
+        # so this also checks that it does not hold the parent's end open
+        first, second = workers._procs
+        workers._conns[0].close()
+        first.join(30)
+        assert first.exitcode == 0
+        assert second.is_alive()
+    finally:
+        workers.close()
+    assert multiprocessing.active_children() == []
 
 
 def test_train_loop_worker_failure_stops_before_adam(corpus, tmp_path, monkeypatch):
@@ -405,34 +508,86 @@ def test_train_loop_worker_failure_stops_before_adam(corpus, tmp_path, monkeypat
     monkeypatch.setattr(training, "adam_step", counted)
     threads = threading.active_count()
     tcfg = TrainConfig(batch_size=3, epochs=1, seed=5, val_items=1, checkpoint_every=0)
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite") as err:
         train_loop(small_model(), tcfg, clean, noise, tmp_path / "run")
+    assert isinstance(err.value.__cause__, WorkerError)   # raised in a worker
     assert steps == []
     assert threading.active_count() == threads
+    assert multiprocessing.active_children() == []
+
+
+def _counting_workers(monkeypatch):
+    """The worker counts of the ItemWorkers that train_loop starts."""
+    started = []
+
+    class Counted(ItemWorkers):
+        def __init__(self, weights, cfg, count):
+            started.append(count)
+            super().__init__(weights, cfg, count)
+
+    monkeypatch.setattr(training, "ItemWorkers", Counted)
+    return started
+
+
+_SAME_BYTES = TrainConfig(batch_size=3, epochs=2, seed=11, val_items=1,
+                          use_warmup=False, lr_base=1e-3, checkpoint_every=0)
 
 
 def test_train_loop_same_bytes_for_any_worker_count(corpus, tmp_path, monkeypatch):
     clean, noise = pools(corpus)
     mcfg = small_model()
-    tcfg = TrainConfig(batch_size=3, epochs=2, seed=11, val_items=1,
-                       use_warmup=False, lr_base=1e-3, checkpoint_every=0)
+    started = _counting_workers(monkeypatch)
     runs = []
-    for cores in (1, 2):
+    for cores in (1, 2, 3):
         monkeypatch.setattr(network, "_usable_cores", lambda: cores)
         threads = threading.active_count()
-        runs.append(train_loop(mcfg, tcfg, clean, noise, tmp_path / f"cores{cores}"))
+        runs.append(train_loop(mcfg, _SAME_BYTES, clean, noise, tmp_path / f"cores{cores}"))
         assert threading.active_count() == threads
-    one, two = runs
-    assert one.steps == two.steps == 2
-    assert one.metrics_csv.read_bytes() == two.metrics_csv.read_bytes()
-    assert one.final_checkpoint.read_bytes() == two.final_checkpoint.read_bytes()
+        assert multiprocessing.active_children() == []
+    assert started == [2, 3]
+    one = runs[0]
+    for other in runs[1:]:
+        assert one.steps == other.steps == 2
+        assert one.metrics_csv.read_bytes() == other.metrics_csv.read_bytes()
+        assert one.final_checkpoint.read_bytes() == other.final_checkpoint.read_bytes()
+
+
+@pytest.mark.parametrize("reason", ["no fork", "another thread"])
+def test_train_loop_without_fork_runs_items_on_the_calling_thread(
+        corpus, tmp_path, monkeypatch, reason):
+    clean, noise = pools(corpus)
+    mcfg = small_model()
+    monkeypatch.setattr(network, "_usable_cores", lambda: 2)
+    started = _counting_workers(monkeypatch)
+    callers = []
+    real = training._item_gradients
+    monkeypatch.setattr(training, "_item_gradients",
+                        lambda *args: callers.append(os.getpid()) or real(*args))
+    forked = train_loop(mcfg, _SAME_BYTES, clean, noise, tmp_path / "forked")
+    assert started == [2] and callers == []   # every item ran in a worker
+    if reason == "no fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        here = train_loop(mcfg, _SAME_BYTES, clean, noise, tmp_path / "here")
+    else:
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            here = train_loop(mcfg, _SAME_BYTES, clean, noise, tmp_path / "here")
+        finally:
+            release.set()
+            other.join()
+    assert started == [2]
+    assert callers == [os.getpid()] * 6   # 2 steps of 3 items
+    assert here.metrics_csv.read_bytes() == forked.metrics_csv.read_bytes()
+    assert here.final_checkpoint.read_bytes() == forked.final_checkpoint.read_bytes()
 
 
 def test_batch_gradients_are_views_into_one_flat_gradient(corpus):
     batch = _uneven_batch(corpus, 3, 12)
     mcfg = small_model()
-    weights = init_params(mcfg, 7)
-    with ThreadPoolExecutor(2) as workers:
+    with ItemWorkers(init_params(mcfg, 7), mcfg, 2) as workers:
+        weights = workers.weights
         batch_gradients(batch, weights, mcfg, workers)
         flat_grad = weights.flat_grad
         assert flat_grad.shape == weights.flat.shape
@@ -463,15 +618,20 @@ def test_batch_gradients_count_a_missing_gradient_as_zero(corpus, monkeypatch):
     def dropped(w, item, n_items, cfg):
         loss, grads = real(w, item, n_items, cfg)
         grads[0] = None                  # no item has a gradient for param 0
-        if item is batch[0]:
+        if item.meta.get("first"):
             grads[1] = None              # only the second item has one for param 1
         return loss, grads
 
+    batch[0].meta["first"] = True
     monkeypatch.setattr(training, "_item_gradients", dropped)
-    batch_gradients(batch, weights, mcfg)
-    views = weights.grad_views()
-    assert not views[0].any()
-    np.testing.assert_array_equal(views[1], second_item[1])
+    with ItemWorkers(weights, mcfg, 2) as workers:
+        for shared in (weights, workers.weights):   # the calling thread, then the workers
+            shared.flat_grad = None
+            views = shared.grad_views()
+            views[0][...] = np.nan   # so that a stale value would show
+            batch_gradients(batch, shared, mcfg, None if shared is weights else workers)
+            assert not views[0].any()
+            np.testing.assert_array_equal(views[1], second_item[1])
 
 
 def test_item_gradients_peak_is_one_tape_not_tape_and_gradients():
@@ -528,11 +688,8 @@ print("done")
 
 
 def test_train_then_enhance_process_exits(tmp_path):
-    # worker threads that outlive train_loop would keep the interpreter
-    # from exiting
-    import os
-    import subprocess
-    from pathlib import Path
+    # workers that outlive train_loop would keep the interpreter from
+    # exiting
     import convmamba
     from conftest import write_corpus
     clean_dir, noise_dir = write_corpus(tmp_path / "corpus", n_clean=6)
@@ -543,3 +700,58 @@ def test_train_then_enhance_process_exits(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "done"
+
+
+_SIGTERM_MID_STEP = """
+import os
+import signal
+import sys
+import time
+from pathlib import Path
+from convmamba import network, training
+from convmamba.network import ModelConfig
+from convmamba.training import TrainConfig, WavPool, list_pool, train_loop
+
+# as a benchmark runner does, so that a terminated run unwinds
+signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
+clean_dir, noise_dir, out = (Path(a) for a in sys.argv[1:])
+network._usable_cores = lambda: 2
+real = training._item_gradients
+
+
+def slow(*args):
+    os.write(1, f"{os.getpid()}\\n".encode())   # one write: the workers share the pipe
+    time.sleep(60)
+    return real(*args)
+
+
+training._item_gradients = slow
+clean, noise = WavPool(list_pool(clean_dir)), WavPool(list_pool(noise_dir))
+train_loop(ModelConfig(d_model=8, n_layers=1, n_state=4),
+           TrainConfig(batch_size=3, epochs=1, val_items=1, checkpoint_every=0),
+           clean, noise, out)
+"""
+
+
+def test_sigterm_mid_step_leaves_no_worker(tmp_path):
+    import convmamba
+    from conftest import write_corpus
+    clean_dir, noise_dir = write_corpus(tmp_path / "corpus", n_clean=6)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(convmamba.__file__).resolve().parent.parent))
+    proc = subprocess.Popen([sys.executable, "-c", _SIGTERM_MID_STEP, str(clean_dir),
+                             str(noise_dir), str(tmp_path / "run")],
+                            env=env, stdout=subprocess.PIPE, text=True)
+    try:
+        # each worker prints its pid as it starts its first item
+        pids = [int(proc.stdout.readline()) for _ in range(2)]
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert len(set(pids)) == 2 and proc.pid not in pids
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
