@@ -11,13 +11,23 @@ file each loaded twice through a WavPool, short training runs
 metrics.csv and the final checkpoint), enhance_waveform on a 1 s file and
 on a 500-frame file (four time blocks, on two layer groups), the eval CSV in
 each mode, and one convmamba-4 item's loss and gradient (a 2 s,
-125-frame item, whose scans the adjoint recomputes chunk by chunk). To
-compare two trees, run the script once with PYTHONPATH set to each tree's
-src/ and diff the outputs. The run takes a few seconds and writes only to a
-temporary directory.
+125-frame item, whose scans the adjoint recomputes chunk by chunk). The
+run takes a few seconds and writes only to a temporary directory.
+
+To compare this tree with another, name the other tree's src/:
+
+    PYTHONPATH=src python3 scripts/fingerprint.py --against OTHER/src
+
+which prints this tree's lines, runs the script again in a subprocess with
+PYTHONPATH set to OTHER/src alone, prints a unified diff of the other
+tree's lines against these, and exits 1 if they differ.
 """
 
+import argparse
+import difflib
 import hashlib
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -135,11 +145,36 @@ def fingerprints(root: Path):
            digest(np.float64(loss).tobytes() + big.flat_grad.tobytes()))
 
 
+def run_under(src: Path) -> list[str]:
+    """This script's output lines with PYTHONPATH set to src alone."""
+    done = subprocess.run([sys.executable, __file__],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.stderr.write(f"{done.stderr}fingerprint.py under {src} exited with code "
+                         f"{done.returncode}\n")
+        raise SystemExit(2)
+    return done.stdout.splitlines(keepends=True)
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="OTHER_SRC", type=Path,
+                        help="run again under another tree's src/, print a unified "
+                             "diff of the two outputs, and exit 1 if they differ")
+    args = parser.parse_args()
+    lines = []
     with tempfile.TemporaryDirectory(prefix="convmamba-fingerprint-") as tmp:
         for name, value in fingerprints(Path(tmp)):
-            print(f"{name} {value}", flush=True)
-    return 0
+            lines.append(f"{name} {value}\n")
+            print(lines[-1], end="", flush=True)
+    if args.against is None:
+        return 0
+    here = Path(network.__file__).resolve().parents[1]
+    diff = list(difflib.unified_diff(run_under(args.against), lines,
+                                     fromfile=str(args.against), tofile=str(here)))
+    sys.stdout.writelines(diff)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":

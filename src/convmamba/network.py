@@ -5,10 +5,11 @@ frame-wise layer norm in front and ReLU behind) lifts it to d_model channels,
 a stack of Mamba-plus-depthwise-conv layers follows, and a pointwise
 convolution with sigmoid produces the estimated mask.
 
-An untaped forward of a unidirectional model over more than one time block
-(block_frames) runs one block at a time, pipelined over the usable cores
-(see _blocked_layers); stream_mask runs any length that way, handing each
-block of mask rows on as soon as it is done.
+forward is the whole-sequence network, the same taped or untaped. Long files
+stream through stream_mask (pipeline.enhance_waveform's network stage),
+which runs a unidirectional model one time block (block_frames) at a time,
+pipelined over the usable cores, and hands each block of mask rows on as
+soon as it is done.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ def init_params(cfg: ModelConfig, seed: int, dtype=None) -> NetworkWeights:
 # ---------------------------------------------------------------------------
 
 def block_frames(d_inner: int, itemsize: int) -> int:
-    """Frames per time block of a blocked forward: as many as fit a (frames,
+    """Frames per time block of stream_mask: as many as fit a (frames,
     d_inner) buffer in 256 KiB, so a block's intermediates stay in L2 where a
     whole long file's spill out of it (128 frames at d_inner 512 in float32).
     Of 64, 128, 256 and 512 frames there, 128 and 256 enhanced 1-32 s files
@@ -275,35 +276,14 @@ def _usable_cores() -> int:
 
 def forward(y_mag: Tensor, w: NetworkWeights, cfg: ModelConfig) -> Tensor:
     """Estimate an (L, bins) time-frequency mask in [0, 1] from an (L, bins)
-    magnitude input."""
+    magnitude input: the embedding, every layer over the whole sequence
+    with no carried state, and the mask projection."""
     if y_mag.data.ndim != 2 or y_mag.data.shape[1] != cfg.bins:
         raise ValueError(f"expected (L, {cfg.bins}) input, got {y_mag.data.shape}")
-    itemsize = np.result_type(y_mag.data, w.in_weight.data).itemsize
-    if (tz.recording_tape((y_mag, w.in_weight)) is not None or cfg.bidirectional
-            or len(y_mag.data) <= block_frames(cfg.d_inner, itemsize)):
-        x = _embed(y_mag, w)
-        for layer in w.layers:
-            x = conv_mamba_layer(x, layer)
-        return _mask(x, w)
-    return Tensor._checked(_blocked_layers(y_mag.data, w, cfg), False)
-
-
-def stream_mask(source, w: NetworkWeights, cfg: ModelConfig, sink) -> np.ndarray:
-    """The untaped (frames, bins) mask of the len(source) magnitude frames
-    that source gives, with sink(rows) called on each span of mask rows, in
-    frame order, as soon as the span is written.
-
-    source[t:t + n] gives the magnitude rows of frames t to t + n, in
-    source.dtype, and is read one time block at a time, in frame order. A
-    unidirectional model runs block by block (see _blocked_layers); a
-    bidirectional one reads the whole input at once and hands the whole mask
-    to sink.
-    """
-    if cfg.bidirectional:
-        mask = forward(Tensor._checked(source[0:len(source)], False), w, cfg).data
-        sink(mask)
-        return mask
-    return _blocked_layers(source, w, cfg, sink)
+    x = _embed(y_mag, w)
+    for layer in w.layers:
+        x = conv_mamba_layer(x, layer)
+    return _mask(x, w)
 
 
 def _embed(y: Tensor, w: NetworkWeights) -> Tensor:
@@ -328,17 +308,21 @@ def _received(inbox: queue.Queue):
         yield block
 
 
-def _blocked_layers(source, w: NetworkWeights, cfg: ModelConfig,
-                    sink=None) -> np.ndarray:
-    """The untaped network's (frames, bins) mask of the len(source) frames
-    of source (see stream_mask), one time block of block_frames frames at a
-    time.
+def stream_mask(source, w: NetworkWeights, cfg: ModelConfig, sink) -> np.ndarray:
+    """The untaped (frames, bins) mask of the len(source) magnitude frames
+    that source gives, with sink(rows) called on each span of mask rows, in
+    frame order, as soon as the span is written.
 
-    The first layer group reads each block from source and embeds it; the
-    last one turns each span of its output into mask rows, writes them into
-    the mask and passes them to sink, if given. Each layer carries a
-    LayerState from one span to the next, so the result is the
-    whole-sequence one up to the rounding of row-blocked matmuls. A centred
+    source[t:t + n] gives the magnitude rows of frames t to t + n, in
+    source.dtype, and is read one time block of block_frames frames at a
+    time, in frame order. A bidirectional model reads the whole input at
+    once, runs forward and hands the whole mask to sink.
+
+    A unidirectional model runs block by block. The first layer group reads
+    each block from source and embeds it; the last one turns each span of
+    its output into mask rows, writes them into the mask and passes them to
+    sink. Each layer carries a LayerState from one span to the next, so the
+    result is forward's up to the rounding of row-blocked matmuls. A centred
     outer conv makes each layer's output lag its input by its lookahead, so
     layer i's spans end i * (outer_dw_kernel - 1) / 2 frames before each
     multiple of the block; with a causal one they end on them. The spans
@@ -352,6 +336,10 @@ def _blocked_layers(source, w: NetworkWeights, cfg: ModelConfig,
     every group, and once all threads have ended, the error of the failing
     group nearest the input is raised.
     """
+    if cfg.bidirectional:
+        mask = forward(Tensor._checked(source[0:len(source)], False), w, cfg).data
+        sink(mask)
+        return mask
     dtype = np.result_type(source.dtype, w.in_weight.data)
     block = block_frames(cfg.d_inner, dtype.itemsize)
     starts = range(0, len(source), block)
@@ -381,8 +369,7 @@ def _blocked_layers(source, w: NetworkWeights, cfg: ModelConfig,
                     continue
                 rows = mask[done:done + len(h.data)]
                 rows[...] = _mask(h, w).data
-                if sink is not None:
-                    sink(rows)
+                sink(rows)
                 done += len(rows)
         except BaseException as exc:
             errors[g] = exc

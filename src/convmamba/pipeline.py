@@ -60,6 +60,9 @@ def enhance_waveform(noisy: Waveform, weights: NetworkWeights, cfg: ModelConfig,
     (network.stream_mask), so of the arrays it makes only the output samples
     and the mask span the whole file."""
     stft_cfg = stft_cfg or StftConfig()
+    if stft_cfg.bins != cfg.bins:
+        raise ValueError(f"the STFT (fft_size {stft_cfg.fft_size}) gives "
+                         f"{stft_cfg.bins} bins, but the model takes {cfg.bins}")
     frames = _Frames(noisy, stft_cfg)
     synth = OverlapAdd(len(frames), stft_cfg, out_len=len(noisy))
     mask = stream_mask(frames, weights, cfg,

@@ -154,6 +154,25 @@ def test_cli_non_finite_wav_names_the_file(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and str(bad_clean) in err[0]
 
 
+def test_cli_stft_bins_that_do_not_match_the_model_name_both(tmp_path, capsys):
+    """A 257-bin model under a 129-bin STFT fails before it runs, with one
+    error line naming both counts, in enhance and in eval's model mode."""
+    ckpt = small_ckpt(tmp_path)
+    wav_in = tmp_path / "in.wav"
+    save_wav(wav_in, synth_speechlike(np.random.default_rng(2), seconds=0.5))
+    clean_dir, noise_dir = write_corpus(tmp_path / "data", n_clean=1, n_noise=1)
+    stft = ("--set", "stft.fft_size=256", "--set", "stft.win_length=256",
+            "--set", "stft.hop=128", "--set", "model.bins=129")
+    for command in (("enhance", str(ckpt), str(wav_in), str(tmp_path / "o.wav")),
+                    ("eval", str(ckpt), "--mode", "model", "--clean-dir", str(clean_dir),
+                     "--noise-dir", str(noise_dir))):
+        assert run(*stft, *command) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "129" in err[0] and "257" in err[0], err
+    assert not (tmp_path / "o.wav").exists()
+
+
 def test_cli_eval_oracle_gain_and_determinism(tmp_path):
     clean_dir, noise_dir = write_corpus(tmp_path / "data", n_clean=2,
                                         n_noise=1, seconds=1.0)

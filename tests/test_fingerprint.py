@@ -10,24 +10,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_fingerprint() -> str:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "fingerprint.py")],
-                          env=env, capture_output=True, text=True, timeout=60, check=True)
-    return done.stdout
-
-
 def test_fingerprint_is_stable_run_to_run():
+    """One run here and one, through --against, in a subprocess under the
+    same src/: the same lines, so no diff and exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     start = time.perf_counter()
-    first = run_fingerprint()
-    second = run_fingerprint()
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "fingerprint.py"),
+                           "--against", str(ROOT / "src")],
+                          env=env, capture_output=True, text=True, timeout=60)
     elapsed = time.perf_counter() - start
-    assert first == second
-    lines = first.splitlines()
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
     names = [line.split()[0] for line in lines]
-    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines), first
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines), done.stdout
     assert len(set(names)) == len(names)
     for prefix in ("init_params/", "checkpoint/", "sample_mixture/", "wav_pool/",
                    "train/", "enhance_waveform/", "eval/", "grad/"):

@@ -138,7 +138,7 @@ def test_bidirectional_reduces_to_unidirectional_with_zero_reverse():
     assert m_bi.shape == (11, 17)
 
 
-# the time block of the blocked forwards below: at these widths the byte
+# the time block of the streamed masks below: at these widths the byte
 # rule gives one block, so the block128 fixture forces this one
 EDGE_BLOCK = 128
 
@@ -148,40 +148,26 @@ def block128(monkeypatch):
     monkeypatch.setattr(network, "block_frames", lambda *shape: EDGE_BLOCK)
 
 
-def test_block_frames_fit_256_kib(monkeypatch):
+def test_block_frames_fit_256_kib():
     assert block_frames(512, 4) == 128   # convmamba-4 in float32
     assert block_frames(512, 8) == 64
     assert block_frames(64, 4) == 1024   # d_model 32
     assert block_frames(1 << 20, 8) == 1
-    # forward blocks only an input that spans more than one block
-    cfg = tiny_cfg()
-    w = init_params(cfg, 2, dtype=np.float64)
-    block = block_frames(cfg.d_inner, 8)
-    blocked = []
-    real = network._blocked_layers
-    monkeypatch.setattr(network, "_blocked_layers",
-                        lambda x, *args: blocked.append(len(x)) or real(x, *args))
-    rng = np.random.default_rng(12)
-    for length in (block, block + 1):
-        forward(t64(np.abs(rng.standard_normal((length, 17)))), w, cfg)
-    assert blocked == [block + 1]
 
 
-def _one_block_forward(y, w, cfg, monkeypatch):
-    """forward with the whole sequence as one block: the taped path's ops."""
-    with monkeypatch.context() as m:
-        m.setattr(network, "block_frames", lambda *shape: len(y.data))
-        return forward(y, w, cfg).data
-
-
-def _grouped_forward(y, w, cfg, groups, monkeypatch):
+def _streamed(y, w, cfg, groups, monkeypatch):
+    """stream_mask of the ndarray y's rows with this many layer groups,
+    checking that the rows it handed the sink, in order, are its mask."""
+    spans = []
     with monkeypatch.context() as m:
         m.setattr(network, "_usable_cores", lambda: groups)
-        return forward(y, w, cfg).data
+        mask = network.stream_mask(y, w, cfg, lambda rows: spans.append(rows.copy()))
+    np.testing.assert_array_equal(np.concatenate(spans), mask)
+    return mask
 
 
-# the blocked forward against the one-block one: row-blocked matmuls may
-# round differently, nothing else does
+# the streamed mask against forward: row-blocked matmuls may round
+# differently, nothing else does
 BLOCKED_TOL = {np.float64: 1e-12, np.float32: 1e-6}
 
 
@@ -195,11 +181,12 @@ def test_blocked_forward_matches_one_block(dtype, causal, n_layers, block128, mo
     rng = np.random.default_rng(n_layers)
     for length in (EDGE_BLOCK - 1, EDGE_BLOCK, EDGE_BLOCK + 1, 2 * EDGE_BLOCK + 3,
                    5 * EDGE_BLOCK):
-        y = Tensor(np.abs(rng.standard_normal((length, 17))), dtype=dtype)
-        one = _grouped_forward(y, w, cfg, 1, monkeypatch)
-        two = _grouped_forward(y, w, cfg, 2, monkeypatch)
+        y = np.abs(rng.standard_normal((length, 17))).astype(dtype)
+        one = _streamed(y, w, cfg, 1, monkeypatch)
+        two = _streamed(y, w, cfg, 2, monkeypatch)
         np.testing.assert_array_equal(one, two, err_msg=f"L {length}")
-        whole = _one_block_forward(y, w, cfg, monkeypatch)
+        whole = forward(Tensor(y, dtype=dtype), w, cfg).data
+        assert one.dtype == whole.dtype == dtype
         np.testing.assert_allclose(one, whole, rtol=0, atol=BLOCKED_TOL[dtype],
                                    err_msg=f"L {length}")
 
@@ -209,29 +196,23 @@ def test_blocked_forward_groups_under_thread_contention(block128, monkeypatch):
     their blocks on without loss or reordering."""
     cfg = tiny_cfg(n_layers=4)
     w = init_params(cfg, 5, dtype=np.float64)
-    y = t64(np.abs(np.random.default_rng(9).standard_normal((6 * EDGE_BLOCK + 7, 17))))
-    want = _grouped_forward(y, w, cfg, 1, monkeypatch)
+    y = np.abs(np.random.default_rng(9).standard_normal((6 * EDGE_BLOCK + 7, 17)))
+    want = _streamed(y, w, cfg, 1, monkeypatch)
+    np.testing.assert_allclose(want, forward(t64(y), w, cfg).data, rtol=0,
+                               atol=BLOCKED_TOL[np.float64])
     got = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         runner = threading.Thread(
-            target=lambda: got.append(_grouped_forward(y, w, cfg, 4, monkeypatch)),
+            target=lambda: got.append(_streamed(y, w, cfg, 4, monkeypatch)),
             daemon=True)
         runner.start()
         runner.join(120.0)
     finally:
         sys.setswitchinterval(interval)
-    assert not runner.is_alive(), "4-group forward hung"
+    assert not runner.is_alive(), "4-group stream_mask hung"
     np.testing.assert_array_equal(got[0], want)
-
-
-def test_bidirectional_forward_stays_one_block(block128, monkeypatch):
-    cfg = tiny_cfg(bidirectional=True)
-    w = init_params(cfg, 4, dtype=np.float64)
-    y = t64(np.abs(np.random.default_rng(6).standard_normal((2 * EDGE_BLOCK + 3, 17))))
-    np.testing.assert_array_equal(_grouped_forward(y, w, cfg, 2, monkeypatch),
-                                  _one_block_forward(y, w, cfg, monkeypatch))
 
 
 def _error(call, groups, monkeypatch) -> ValueError:
@@ -259,19 +240,22 @@ def _error(call, groups, monkeypatch) -> ValueError:
 
 @pytest.mark.parametrize("layer", [0, 3])
 def test_blocked_forward_stage_failure_raises_and_ends(layer, block128, monkeypatch):
-    """A NaN weight in either group's layers raises the one-thread error,
-    from forward and from a streamed enhance_waveform; a failing first group
+    """A NaN weight in either group's layers raises forward's error, from
+    stream_mask and from a streamed enhance_waveform; a failing first group
     does not leave the second waiting for input."""
     cfg = tiny_cfg(n_layers=4)
     w = init_params(cfg, 8, dtype=np.float64)
     w.layers[layer].mamba.in_proj_x.data[1, 2] = np.nan
-    y = t64(np.abs(np.random.default_rng(7).standard_normal((3 * EDGE_BLOCK + 5, 17))))
+    y = np.abs(np.random.default_rng(7).standard_normal((3 * EDGE_BLOCK + 5, 17)))
     noisy = _noisy_frames(3 * EDGE_BLOCK + 5, np.random.default_rng(7))
-    for call in (lambda: forward(y, w, cfg),
+    with pytest.raises(ValueError) as whole:
+        forward(t64(y), w, cfg)
+    assert str(whole.value) == "non-finite values produced by matmul"
+    for call in (lambda: network.stream_mask(y, w, cfg, lambda rows: None),
                  lambda: enhance_waveform(noisy, w, cfg, SMALL_STFT)):
         one = _error(call, 1, monkeypatch)
         two = _error(call, 2, monkeypatch)
-        assert str(two) == str(one) == "non-finite values produced by matmul"
+        assert str(two) == str(one) == str(whole.value)
 
 
 # an STFT with the tiny models' 17 bins
@@ -366,7 +350,7 @@ def test_bidirectional_enhance_stays_whole_sequence(block128, monkeypatch):
     w = init_params(cfg, 4, dtype=np.float32)
     noisy = _noisy_frames(2 * EDGE_BLOCK + 3, np.random.default_rng(15))
     spec = stft(noisy, SMALL_STFT)
-    mask = _one_block_forward(Tensor(magnitude(spec)), w, cfg, monkeypatch)
+    mask = forward(Tensor(magnitude(spec)), w, cfg).data
     want = istft(apply_mask(spec, mask), SMALL_STFT, out_len=len(noisy)).samples
     for groups in (1, 2):
         samples, got = _enhance(noisy, w, cfg, groups, monkeypatch)

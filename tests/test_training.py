@@ -312,6 +312,34 @@ def test_validation_does_not_touch_weights(corpus):
     assert _weights_digest(weights) == before
 
 
+def test_train_loop_starts_no_thread(corpus, tmp_path, monkeypatch):
+    """Training and its validation run forward, the whole-sequence network,
+    on the calling thread even where every input spans several time blocks;
+    only stream_mask runs blocks on layer-group threads."""
+    clean, noise = pools(corpus)
+    mcfg = ModelConfig(d_model=8, n_layers=2, n_state=4, bins=257)
+    monkeypatch.setattr(network, "block_frames", lambda *shape: 8)
+    monkeypatch.setattr(network, "_usable_cores", lambda: 2)
+    started, lengths = [], []
+    real_start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self.name) or real_start(self))
+    real_forward = training.forward
+    monkeypatch.setattr(training, "forward",
+                        lambda y, *args: lengths.append(len(y.data)) or real_forward(y, *args))
+    tcfg = TrainConfig(batch_size=1, epochs=1, max_steps=2, seed=3, val_items=1,
+                       use_warmup=False, lr_base=1e-3, checkpoint_every=0)
+    train_loop(mcfg, tcfg, clean, noise, tmp_path / "run")
+    assert len(lengths) == 3 and min(lengths) >= 3 * 8, lengths   # 2 steps, 1 validation
+    item = sample_mixture(clean, noise, tcfg, np.random.default_rng(0))
+    w = init_params(mcfg, 0)
+    network.forward(Tensor(item.noisy_mag), w, mcfg)
+    assert started == []
+    # the patches give a pipeline: stream_mask starts the second group
+    network.stream_mask(item.noisy_mag, w, mcfg, lambda rows: None)
+    assert started == ["convmamba-layers-1"]
+
+
 def test_loss_trend_downward_across_seeds(corpus, tmp_path):
     clean, noise = pools(corpus)
     mcfg = small_model()
