@@ -63,16 +63,14 @@ def cmd_train(args) -> int:
     rc = load_run_config(args.config, args.overrides, args.seed)
     if rc.clean_dir is None or rc.noise_dir is None:
         raise ConfigError("data.clean_dir and data.noise_dir are required")
-    try:
-        clean_paths = list_pool(rc.clean_dir, rc.clean_manifest)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"clean root not found or empty: {exc}") from exc
-    try:
-        noise_paths = list_pool(rc.noise_dir, rc.noise_manifest)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"noise root not found or empty: {exc}") from exc
-    result = train_loop(rc.model, rc.train, WavPool(clean_paths),
-                        WavPool(noise_paths), rc.out_dir, rc.stft)
+    pools = []
+    for name, root, manifest in (("clean", rc.clean_dir, rc.clean_manifest),
+                                 ("noise", rc.noise_dir, rc.noise_manifest)):
+        try:
+            pools.append(WavPool(list_pool(root, manifest)))
+        except FileNotFoundError as exc:
+            raise ConfigError(f"{name} root not found or empty: {exc}") from exc
+    result = train_loop(rc.model, rc.train, *pools, rc.out_dir, rc.stft)
     print(f"trained {result.steps} steps; final train loss "
           f"{result.final_train_loss:.6e}; best epoch {result.best_epoch} "
           f"(val {result.best_val_loss:.6e})")
@@ -92,18 +90,19 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    snrs = [int(s) for s in args.snrs.split(",") if s.strip()]
+    if not snrs:
+        raise ConfigError(f"--snrs lists no value: {args.snrs!r}")
+    if args.count is not None and args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
     rc = load_run_config(args.config, args.overrides, args.seed)
     weights = cfg = None
     if args.mode == "model":
         if args.checkpoint is None:
             raise ConfigError("eval in model mode needs a checkpoint")
         weights, cfg = load_checkpoint(args.checkpoint)
-    try:
-        clean_pool = WavPool(list_pool(args.clean_dir))
-        noise_pool = WavPool(list_pool(args.noise_dir))
-    except FileNotFoundError as exc:
-        raise ConfigError(str(exc)) from exc
-    snrs = [int(s) for s in args.snrs.split(",") if s.strip()]
+    clean_pool = WavPool(list_pool(args.clean_dir))
+    noise_pool = WavPool(list_pool(args.noise_dir))
     seed = args.seed if args.seed is not None else rc.train.seed
     rows = evaluate_corpus(clean_pool, noise_pool, snrs, args.mode, weights,
                            cfg, rc.stft, seed, MaskKind(args.target), args.count)

@@ -310,8 +310,8 @@ def _received(inbox: queue.Queue):
 
 def stream_mask(source, w: NetworkWeights, cfg: ModelConfig, sink) -> np.ndarray:
     """The untaped (frames, bins) mask of the len(source) magnitude frames
-    that source gives, with sink(rows) called on each span of mask rows, in
-    frame order, as soon as the span is written.
+    that source gives, with sink(rows) called on each span of mask rows that
+    has any, in frame order, as soon as the span is written.
 
     source[t:t + n] gives the magnitude rows of frames t to t + n, in
     source.dtype, and is read one time block of block_frames frames at a
@@ -369,7 +369,8 @@ def stream_mask(source, w: NetworkWeights, cfg: ModelConfig, sink) -> np.ndarray
                     continue
                 rows = mask[done:done + len(h.data)]
                 rows[...] = _mask(h, w).data
-                sink(rows)
+                if len(rows):
+                    sink(rows)
                 done += len(rows)
         except BaseException as exc:
             errors[g] = exc

@@ -6,8 +6,10 @@ Example:
     train.epochs = 150
     data.clean_dir = /data/clean
 
-Every key is validated against the schema; unknown keys are errors. Values
-on the command line (--set key=value) override the file.
+The keys are the fields of ModelConfig, TrainConfig and StftConfig under
+model., train. and stft., plus model.preset, data.* and out.dir. Unknown
+keys are errors. Values on the command line (--set key=value) override the
+file.
 """
 
 from __future__ import annotations
@@ -34,28 +36,25 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _schema() -> dict[str, type]:
-    schema: dict[str, type] = {"model.preset": str}
-    for f in fields(ModelConfig):
-        schema[f"model.{f.name}"] = bool if f.type == "bool" else int
-    for f in fields(TrainConfig):
-        if f.name == "target":
-            schema["train.target"] = str
-        elif f.type == "bool":
-            schema[f"train.{f.name}"] = bool
-        elif f.type == "float":
-            schema[f"train.{f.name}"] = float
-        else:
-            schema[f"train.{f.name}"] = int
-    for name in ("win_length", "hop", "fft_size"):
-        schema[f"stft.{name}"] = int
-    for name in ("clean_dir", "noise_dir", "clean_manifest", "noise_manifest"):
-        schema[f"data.{name}"] = str
-    schema["out.dir"] = str
-    return schema
+def _mask_kind(text: str) -> MaskKind:
+    try:
+        return MaskKind(text.lower())
+    except ValueError:
+        raise ValueError(f"must be irm or psm, got {text!r}") from None
 
 
-SCHEMA = _schema()
+_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "stft": StftConfig}
+# the parser of each field annotation the sections use
+_PARSERS = {"int": int, "bool": _bool, "float": float, "MaskKind": _mask_kind}
+
+SCHEMA = {
+    "model.preset": str,
+    **{f"{section}.{f.name}": _PARSERS[f.type]
+       for section, cls in _SECTIONS.items() for f in fields(cls)},
+    **{f"data.{name}": str
+       for name in ("clean_dir", "noise_dir", "clean_manifest", "noise_manifest")},
+    "out.dir": str,
+}
 
 
 @dataclass
@@ -70,76 +69,49 @@ class RunConfig:
     out_dir: str = "runs/default"
 
 
+def _pair(text: str, where: str) -> tuple[str, str]:
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+    key, value = (part.strip() for part in text.split("=", 1))
+    if key not in SCHEMA:
+        raise ConfigError(f"{where}: unknown config key {key!r}")
+    return key, value
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in SCHEMA:
-            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-        pairs[key] = value
+        if line:
+            key, value = _pair(line, f"{source}:{lineno}")
+            pairs[key] = value
     return pairs
 
 
 def parse_overrides(items: list[str]) -> dict[str, str]:
-    pairs: dict[str, str] = {}
-    for item in items:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, value = (part.strip() for part in item.split("=", 1))
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-        pairs[key] = value
-    return pairs
+    return dict(_pair(item, "--set") for item in items)
 
 
 def build_run_config(pairs: dict[str, str]) -> RunConfig:
-    typed: dict[str, object] = {}
-    for key, value in pairs.items():
-        want = SCHEMA[key]
+    kwargs: dict[str, dict[str, object]] = {s: {} for s in (*_SECTIONS, "data", "out")}
+    for key, text in pairs.items():
         try:
-            typed[key] = _bool(value) if want is bool else want(value)
+            value = SCHEMA[key](text)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from exc
+        section, name = key.split(".", 1)
+        kwargs[section][name] = value
 
-    model_kwargs = {k.split(".", 1)[1]: v for k, v in typed.items()
-                    if k.startswith("model.") and k != "model.preset"}
-    if "model.preset" in typed:
-        model = ModelConfig.preset(str(typed["model.preset"]), **model_kwargs)
-    else:
-        model = ModelConfig(**model_kwargs)
-
-    train_kwargs = {}
-    for key, value in typed.items():
-        if not key.startswith("train."):
-            continue
-        name = key.split(".", 1)[1]
-        if name == "target":
-            try:
-                value = MaskKind(str(value).lower())
-            except ValueError:
-                raise ConfigError(f"train.target must be irm or psm, got {value!r}") from None
-        train_kwargs[name] = value
-    train = TrainConfig(**train_kwargs)
-
-    stft_kwargs = {k.split(".", 1)[1]: v for k, v in typed.items()
-                   if k.startswith("stft.")}
-    stft = StftConfig(**stft_kwargs)
+    preset = kwargs["model"].pop("preset", None)
+    model = (ModelConfig(**kwargs["model"]) if preset is None
+             else ModelConfig.preset(preset, **kwargs["model"]))
+    train = TrainConfig(**kwargs["train"])
+    stft = StftConfig(**kwargs["stft"])
     if stft.bins != model.bins:
         raise ConfigError(
             f"stft yields {stft.bins} bins but model.bins = {model.bins}")
-
-    return RunConfig(
-        model=model, train=train, stft=stft,
-        clean_dir=typed.get("data.clean_dir"),
-        noise_dir=typed.get("data.noise_dir"),
-        clean_manifest=typed.get("data.clean_manifest"),
-        noise_manifest=typed.get("data.noise_manifest"),
-        out_dir=str(typed.get("out.dir", "runs/default")))
+    return RunConfig(model=model, train=train, stft=stft,
+                     out_dir=kwargs["out"].get("dir", "runs/default"), **kwargs["data"])
 
 
 def load_run_config(config_path, overrides: list[str],

@@ -59,6 +59,11 @@ class TrainConfig:
             raise ValueError("batch_size and warmup_steps must be >= 1")
         if self.snr_lo > self.snr_hi:
             raise ValueError("snr range must be ordered")
+        for name, least in (("epochs", 1), ("val_items", 1), ("val_every", 1),
+                            ("max_steps", 0), ("checkpoint_every", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 # ---------------------------------------------------------------------------

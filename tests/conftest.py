@@ -1,6 +1,7 @@
 """Shared synthetic-audio fixtures, the scan oracles, and the SSM init that
 the scan tests draw their parameters from."""
 
+import gc
 from contextlib import contextmanager
 
 import numpy as np
@@ -54,6 +55,32 @@ def write_nan_wav(path, n=4000, at=1234):
     raw[44 + 4 * at:48 + 4 * at] = np.array(np.nan, dtype="<f4").tobytes()
     path.write_bytes(bytes(raw))
     return path
+
+
+def paired_time_ratios(run, sizes, rounds, budget, clock):
+    """For each pair of adjacent sizes (a, b), the median over rounds of b's
+    time per call of run(size) over a's. Each round times every size in
+    turn, so the two sizes of a pair run back to back and share the host's
+    speed of the moment, which can jump for seconds at a time. A sample
+    repeats run(size) max(1, budget // size) times, to sit well above the
+    clock's resolution. The garbage collector is off while timing."""
+    ratios = [[] for _ in sizes[1:]]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(rounds):
+            per_call = []
+            for size in sizes:
+                calls = max(1, budget // size)
+                start = clock()
+                for _ in range(calls):
+                    run(size)
+                per_call.append((clock() - start) / calls)
+            for pair, a, b in zip(ratios, per_call, per_call[1:]):
+                pair.append(b / a)
+    finally:
+        gc.enable()
+    return [float(np.median(pair)) for pair in ratios]
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from convmamba.tensor import Tensor
 from convmamba.training import warmup_lr
 
 from conftest import (causal_conv, discretize_zoh, init_ssm_params,
-                      lti_kernel, naive_scan, synth_speechlike)
+                      lti_kernel, naive_scan, paired_time_ratios, synth_speechlike)
 
 
 def report(num: int, ok: bool, detail: str):
@@ -258,7 +258,6 @@ def test_c8_schedule_values():
 def test_c9_sequential_scan_linear_scaling():
     # narrow channels keep the per-step recurrence (strictly linear, stable
     # cost) dominant over the vectorized, bandwidth-sensitive precompute
-    import gc
     rng = np.random.default_rng(909)
     d_inner, n = 4, 2
     p = init_ssm_params(d_inner, n, 1, rng)
@@ -270,32 +269,14 @@ def test_c9_sequential_scan_linear_scaling():
                              b=Tensor(rng.standard_normal((length, n))),
                              c=Tensor(rng.standard_normal((length, n))))
         problems[length] = (u, si)
-    times = {length: np.inf for length in problems}
-    gc.collect()
-    gc.disable()
-    try:
-        for length, (u, si) in problems.items():
-            selective_scan_seq(u, si, p)  # warm caches and allocator
-        # round-robin passes so transient machine load cannot bias one size;
-        # batch short problems per sample to sit well above the timer floor
-        for _ in range(7):
-            for length, (u, si) in problems.items():
-                calls = max(1, 16384 // length)
-                sample = _timed(selective_scan_seq, u, si, p, calls=calls)
-                times[length] = min(times[length], sample / calls)
-    finally:
-        gc.enable()
-    ratios = [times[1 << (e + 1)] / times[1 << e] for e in range(10, 14)]
+    for u, si in problems.values():
+        selective_scan_seq(u, si, p)  # warm caches and allocator
+    # this thread's CPU time: time the host spends on other processes while
+    # the scan waits to run is not the scan's cost
+    ratios = paired_time_ratios(lambda length: selective_scan_seq(*problems[length], p),
+                                list(problems), rounds=7, budget=16384,
+                                clock=time.thread_time)
     ok = max(ratios) <= 2.4
     detail = ", ".join(f"{1 << e}->{1 << (e + 1)}: {r:.2f}"
                        for e, r in zip(range(10, 14), ratios))
     report(9, ok, f"per-doubling time ratios (<=2.4): {detail}")
-
-
-def _timed(fn, *args, calls=1):
-    # this thread's CPU time: time the host spends on other processes while
-    # the scan waits to run is not the scan's cost
-    start = time.thread_time()
-    for _ in range(calls):
-        fn(*args)
-    return time.thread_time() - start

@@ -99,6 +99,27 @@ def test_cli_train_smoke(tmp_path, capsys):
     assert "trained" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epochs", "0"), ("val_items", "0"), ("val_every", "0"), ("max_steps", "-1"),
+    ("checkpoint_every", "-1")])
+def test_cli_train_rejects_bad_loop_values(field, value, tmp_path, capsys):
+    """A training value the loop cannot run with stops the run before it
+    starts, with one error line naming the field."""
+    clean_dir, noise_dir = write_corpus(tmp_path / "data", n_clean=2, n_noise=1)
+    out = tmp_path / "run"
+    code = run("--set", f"data.clean_dir={clean_dir}",
+               "--set", f"data.noise_dir={noise_dir}",
+               "--set", f"out.dir={out}",
+               "--set", "model.d_model=8", "--set", "model.n_layers=1",
+               "--set", "train.epochs=1", "--set", "train.batch_size=2",
+               "--set", "train.val_items=1", "--set", f"train.{field}={value}",
+               "train")
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and field in err[0], err
+    assert not (out / "metrics.csv").exists()
+
+
 def test_cli_enhance_duration_and_determinism(tmp_path):
     ckpt = small_ckpt(tmp_path, seed=1)
     rng = np.random.default_rng(0)
@@ -201,6 +222,19 @@ def test_cli_eval_passthrough_tracks_mixing_snr(tmp_path):
         parts = line.split(",")
         assert abs(float(parts[3]) - float(parts[2])) < 0.5
         assert abs(float(parts[4]) - float(parts[2])) < 0.5
+
+
+@pytest.mark.parametrize("selection", [
+    ("--count", "0"), ("--count=-2",), ("--snrs", ","), ("--snrs", "")],
+    ids=["count-0", "count-negative", "snrs-comma", "snrs-blank"])
+def test_cli_eval_rejects_an_empty_selection(selection, tmp_path, capsys):
+    clean_dir, noise_dir = write_corpus(tmp_path / "data", n_clean=1, n_noise=1)
+    out = tmp_path / "eval.csv"
+    assert run("eval", "--mode", "passthrough", "--clean-dir", str(clean_dir),
+               "--noise-dir", str(noise_dir), "--out", str(out), *selection) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert selection[0].split("=")[0] in err[0] and not out.exists()
 
 
 def test_cli_eval_model_mode_requires_checkpoint(tmp_path, capsys):
