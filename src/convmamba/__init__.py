@@ -4,7 +4,7 @@ from .audio import (StftConfig, Waveform, istft, load_wav, magnitude,
                     mix_at_snr, save_wav, stft)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .masks import MaskKind, apply_mask, irm, mask_mse_loss, psm
-from .metrics import MetricReport, seg_snr, si_sdr
+from .metrics import seg_snr, si_sdr
 from .network import (ModelConfig, NetworkWeights, count_params, forward,
                       init_params)
 from .pipeline import enhance_waveform

@@ -13,8 +13,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import tensor as tz
-from .network import (ModelConfig, NetworkWeights, build_weights, new_flat,
-                      parameter_shapes)
+from .network import ModelConfig, NetworkWeights, new_weights
 
 MAGIC = b"MDCK"
 VERSION = 1
@@ -108,23 +107,24 @@ def load_checkpoint(path, dtype=None) -> tuple[NetworkWeights, ModelConfig]:
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
 
-    expected = parameter_shapes(cfg)
+    weights = new_weights(cfg, dtype or tz.default_dtype())
+    params = weights.named_parameters()
     (n_params,) = r.unpack("<I")
-    if n_params != len(expected):
+    if n_params != len(params):
         raise CheckpointError(
-            f"{path}: {n_params} parameters stored, config implies {len(expected)}")
-    flat, views = new_flat([shape for _, shape in expected], dtype or tz.default_dtype())
-    for (want_name, want_shape), view in zip(expected, views):
+            f"{path}: {n_params} parameters stored, config implies {len(params)}")
+    for p in params:
+        view = p.tensor.data
         name = r.name()
         (rank,) = r.unpack("<B")
         shape = r.unpack(f"<{rank}I")
-        if name != want_name or tuple(shape) != tuple(want_shape):
+        if name != p.name or tuple(shape) != view.shape:
             raise CheckpointError(
                 f"{path}: parameter {name} with shape {tuple(shape)} does not match"
-                f" config expectation {want_name} {tuple(want_shape)}")
+                f" config expectation {p.name} {view.shape}")
         view[...] = np.frombuffer(r.take(4 * view.size), dtype="<f4").reshape(shape)
         if not np.isfinite(view).all():
             raise CheckpointError(f"{path}: parameter {name} has non-finite values")
     if r.pos != len(r.raw):
         raise CheckpointError(f"{path}: {len(r.raw) - r.pos} trailing bytes")
-    return build_weights(cfg, flat, views), cfg
+    return weights, cfg

@@ -90,7 +90,12 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    snrs = [int(s) for s in args.snrs.split(",") if s.strip()]
+    snrs = []
+    for item in filter(str.strip, args.snrs.split(",")):
+        try:
+            snrs.append(int(item))
+        except ValueError:
+            raise ConfigError(f"--snrs takes whole dB values, got {item.strip()!r}") from None
     if not snrs:
         raise ConfigError(f"--snrs lists no value: {args.snrs!r}")
     if args.count is not None and args.count < 1:

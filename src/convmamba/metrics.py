@@ -6,20 +6,11 @@ binaries, stand in for the usual perceptual metric suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .audio import Waveform
 
 SI_SDR_CAP_DB = 60.0
-
-
-@dataclass
-class MetricReport:
-    si_sdr_db: float
-    seg_snr_db: float
-    mask_mse: float
 
 
 def si_sdr(est: Waveform, ref: Waveform) -> float:

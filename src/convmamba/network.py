@@ -88,30 +88,11 @@ class NetworkWeights:
     # every trainable value, in canonical order; each parameter's data is a
     # view into it
     flat: np.ndarray | None = field(default=None, repr=False)
-    # the summed batch gradient, laid out like flat (see grad_views)
+    # the summed batch gradient, laid out like flat
     flat_grad: np.ndarray | None = field(default=None, repr=False)
-    _grad_views: list[np.ndarray] = field(default_factory=list, repr=False)
 
     def named_parameters(self) -> list[Parameter]:
         return self._named
-
-    def grad_views(self) -> list[np.ndarray]:
-        """One view per parameter into flat_grad; both are made on the first
-        call and reused after it."""
-        if self.flat_grad is None:
-            self.flat_grad, self._grad_views = new_flat(
-                [p.tensor.data.shape for p in self._named], self.flat.dtype)
-        return self._grad_views
-
-
-def new_flat(shapes, dtype, buffer=None) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A flat array and its consecutive views, one of each shape: new and
-    unfilled, or laid over the start of a writable buffer."""
-    ends = np.cumsum([math.prod(shape) for shape in shapes])
-    flat = (np.empty(int(ends[-1]), dtype=dtype) if buffer is None
-            else np.frombuffer(buffer, dtype=dtype, count=int(ends[-1])))
-    return flat, [part.reshape(shape)
-                  for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
 
 
 # ---------------------------------------------------------------------------
@@ -193,25 +174,37 @@ def parameter_shapes(cfg: ModelConfig) -> list[tuple[str, tuple]]:
         # the tree is discarded
 
     _walk(cfg, alloc)
+    if len(dict(shapes)) != len(shapes):
+        raise AssertionError("duplicate parameter name")
     return shapes
 
 
 def count_params(cfg: ModelConfig) -> int:
-    return sum(int(np.prod(s)) for _, s in parameter_shapes(cfg))
+    return sum(math.prod(s) for _, s in parameter_shapes(cfg))
 
 
-def build_weights(cfg: ModelConfig, flat: np.ndarray,
-                  views: list[np.ndarray]) -> NetworkWeights:
-    """The weight tree over flat whose trainable tensors wrap views, which
-    are consecutive views of flat in parameter_shapes order; a non-trainable
-    d_skip holds zeros outside flat."""
-    remaining = iter(views)
+def new_weights(cfg: ModelConfig, dtype, buffer=None, fill=None) -> NetworkWeights:
+    """The weight tree of cfg over one flat array of dtype, new or laid over
+    the start of a writable buffer. Its trainable tensors wrap consecutive
+    views of it in parameter_shapes order, each filled by fill(view, init)
+    in that order when fill is given (init as _walk describes), else left
+    as the memory holds them. A non-trainable d_skip holds zeros outside
+    the flat array."""
+    size = count_params(cfg)
+    flat = (np.empty(size, dtype=dtype) if buffer is None
+            else np.frombuffer(buffer, dtype=dtype, count=size))
     named: list[Parameter] = []
+    start = 0
 
     def alloc(name, shape, init, trainable=True):
+        nonlocal start
         if not trainable:
-            return Tensor(np.zeros(shape), dtype=flat.dtype)
-        t = Tensor._checked(next(remaining), requires_grad=True)
+            return Tensor(np.zeros(shape), dtype=dtype)
+        view = flat[start:start + math.prod(shape)].reshape(shape)
+        start += view.size
+        if fill is not None:
+            fill(view, init)
+        t = Tensor._checked(view, requires_grad=True)
         named.append(Parameter(name, t))
         return t
 
@@ -224,35 +217,20 @@ def build_weights(cfg: ModelConfig, flat: np.ndarray,
 def init_params(cfg: ModelConfig, seed: int, dtype=None) -> NetworkWeights:
     """Deterministic initialization: fan-in uniform projections, unit layer
     norms, log-spaced state decays, log-uniform softplus step sizes."""
-    flat, views = new_flat([shape for _, shape in parameter_shapes(cfg)],
-                           dtype or tz.default_dtype())
-    remaining = iter(views)
     rng = np.random.default_rng(seed)
-    names: set[str] = set()
 
-    def draw(name, shape, init, trainable=True):
-        if not trainable:
-            return
-        if name in names:
-            raise AssertionError(f"duplicate parameter name {name}")
-        names.add(name)
+    def fill(view, init):
         kind = init[0]
         if kind == "uniform":
-            data = rng.uniform(-1.0, 1.0, shape) / np.sqrt(init[1])
-        elif kind == "zeros":
-            data = np.zeros(shape)
-        elif kind == "ones":
-            data = np.ones(shape)
+            view[...] = rng.uniform(-1.0, 1.0, view.shape) / np.sqrt(init[1])
         elif kind == "a_log":
-            data = a_log_init(*shape)
+            view[...] = a_log_init(*view.shape)
         elif kind == "dt_bias":
-            data = dt_bias_init(shape[0], rng)
+            view[...] = dt_bias_init(view.shape[0], rng)
         else:
-            raise AssertionError(kind)
-        next(remaining)[...] = data
+            view[...] = {"zeros": 0.0, "ones": 1.0}[kind]
 
-    _walk(cfg, draw)
-    return build_weights(cfg, flat, views)
+    return new_weights(cfg, dtype or tz.default_dtype(), fill=fill)
 
 
 # ---------------------------------------------------------------------------

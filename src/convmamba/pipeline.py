@@ -9,7 +9,7 @@ import numpy as np
 from .audio import (OverlapAdd, StftConfig, Waveform, istft, magnitude,
                     mix_at_snr, num_frames, stft_frames)
 from .masks import MaskKind, apply_mask, mask_target
-from .metrics import MetricReport, seg_snr, si_sdr
+from .metrics import seg_snr, si_sdr
 from .network import ModelConfig, NetworkWeights, stream_mask
 from .tensor import Tensor, default_dtype
 from .training import WavPool
@@ -73,12 +73,11 @@ def enhance_waveform(noisy: Waveform, weights: NetworkWeights, cfg: ModelConfig,
 def evaluate_pair(clean: Waveform, noisy: Waveform, mode: str,
                   weights: NetworkWeights | None, cfg: ModelConfig | None,
                   stft_cfg: StftConfig,
-                  target_kind: MaskKind = MaskKind.IRM) -> tuple[MetricReport, float]:
-    """Enhance one mixture under the given mode and score it against clean.
-
-    Returns (report, input SI-SDR). mask_mse compares the mask that was
-    applied against the ideal target for the pair.
-    """
+                  target_kind: MaskKind = MaskKind.IRM) -> dict[str, float]:
+    """Enhance one mixture under the given mode and score it against clean:
+    the SI-SDR of the input and of the output, the output's segmental SNR,
+    and mask_mse, which compares the mask that was applied against the ideal
+    target for the pair."""
     spec_y, target = mask_target(clean, noisy, target_kind, stft_cfg)
 
     if mode == "passthrough":
@@ -92,12 +91,11 @@ def evaluate_pair(clean: Waveform, noisy: Waveform, mode: str,
     else:
         raise ValueError(f"unknown eval mode {mode!r}")
 
-    report = MetricReport(
-        si_sdr_db=si_sdr(enhanced, clean),
-        seg_snr_db=seg_snr(enhanced, clean, frame=stft_cfg.win_length,
-                           hop=stft_cfg.hop),
-        mask_mse=float(np.mean((used_mask.astype(np.float64) - target) ** 2)))
-    return report, si_sdr(noisy, clean)
+    return dict(si_sdr_noisy_db=si_sdr(noisy, clean),
+                si_sdr_db=si_sdr(enhanced, clean),
+                seg_snr_db=seg_snr(enhanced, clean, frame=stft_cfg.win_length,
+                                   hop=stft_cfg.hop),
+                mask_mse=float(np.mean((used_mask.astype(np.float64) - target) ** 2)))
 
 
 def evaluate_corpus(clean_pool: WavPool, noise_pool: WavPool, snrs: list[int],
@@ -114,14 +112,10 @@ def evaluate_corpus(clean_pool: WavPool, noise_pool: WavPool, snrs: list[int],
             clean = clean_pool.load(ci)
             ni = int(rng.integers(0, len(noise_pool)))
             noisy, _ = mix_at_snr(clean, noise_pool.load(ni), snr_db, rng)
-            report, si_sdr_in = evaluate_pair(clean, noisy, mode, weights, cfg,
-                                              stft_cfg, target_kind)
             rows.append(dict(clean=clean_pool.paths[ci].name,
-                             noise=noise_pool.paths[ni].name,
-                             snr_db=snr_db, si_sdr_noisy_db=si_sdr_in,
-                             si_sdr_db=report.si_sdr_db,
-                             seg_snr_db=report.seg_snr_db,
-                             mask_mse=report.mask_mse))
+                             noise=noise_pool.paths[ni].name, snr_db=snr_db,
+                             **evaluate_pair(clean, noisy, mode, weights, cfg,
+                                             stft_cfg, target_kind)))
     return rows
 
 

@@ -191,12 +191,19 @@ class WavPool:
 
 
 def list_pool(root, manifest=None) -> list[Path]:
+    """The WAV files under root, or the ones a manifest names one per line
+    relative to root, each of which must be a file."""
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"data root not found: {root}")
     if manifest is not None:
         lines = Path(manifest).read_text(encoding="utf-8").splitlines()
-        paths = [root / line.strip() for line in lines if line.strip()]
+        names = [line.strip() for line in lines if line.strip()]
+        for name in names:
+            if not (root / name).is_file():
+                raise ValueError(f"manifest {manifest}: entry {name!r} is not a file"
+                                 f" under {root}")
+        paths = [root / name for name in names]
     else:
         paths = sorted(root.rglob("*.wav"))
     if not paths:
@@ -257,16 +264,17 @@ def batch_loss(batch: list[TrainItem], weights: NetworkWeights,
 
 
 def _item_gradients(weights: NetworkWeights, item: TrainItem, n_items: int,
-                    cfg: ModelConfig) -> tuple[np.ndarray, list]:
-    """The item's loss, and the gradients of its 1/n_items share of the batch
-    loss, one per parameter in named_parameters order (None for a parameter
-    the loss does not reach). Only the item's own tape and the dict that
-    backward returns hold them."""
+                    cfg: ModelConfig, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The item's loss, and out holding the gradient of its 1/n_items share
+    of the batch loss, laid out like weights.flat; every trainable parameter
+    gets one. Until they are written there, only the item's own tape and the
+    dict that backward returns hold the per-parameter gradients."""
     with Tape() as tape:
         loss = _item_loss(item, weights, cfg)
         share = tz.scale(loss, 1.0 / n_items)
     grads = backward(share, tape)
-    return loss.data, [grads.get(p.tensor) for p in weights.named_parameters()]
+    return loss.data, np.concatenate(
+        [grads[p.tensor] for p in weights.named_parameters()], axis=None, out=out)
 
 
 class WorkerError(RuntimeError):
@@ -286,11 +294,11 @@ def _portable(exc: Exception) -> tuple:
 
 
 def _serve_items(conn, weights: NetworkWeights, cfg: ModelConfig,
-                 slots: list[list[np.ndarray]], parent_ends: list) -> None:
+                 slots: np.ndarray, parent_ends: list) -> None:
     """An item worker: for each (index, slot, n_items, item) it receives, it
-    writes the item's gradients into that slot and replies (index, loss, the
-    parameters the loss does not reach, None), or (index, None, None, the
-    error). It exits when its pipe closes."""
+    writes the item's gradient into row slot of slots and replies (index,
+    loss, None), or (index, None, the error). It exits when its pipe
+    closes."""
     for end in parent_ends:   # held open here, no pipe would ever read as closed
         end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent stops us
@@ -300,14 +308,9 @@ def _serve_items(conn, weights: NetworkWeights, cfg: ModelConfig,
         except EOFError:
             return
         try:
-            loss, grads = _item_gradients(weights, item, n_items, cfg)
-            for view, g in zip(slots[slot], grads):
-                if g is not None:
-                    view[...] = g
-            reply = (index, loss, [i for i, g in enumerate(grads) if g is None], None)
+            reply = index, _item_gradients(weights, item, n_items, cfg, slots[slot])[0], None
         except Exception as exc:
-            reply = (index, None, None, _portable(exc))
-        grads = None   # freed before the next item's tape grows
+            reply = (index, None, _portable(exc))
         conn.send(reply)
 
 
@@ -318,18 +321,16 @@ class ItemWorkers:
     mapping (self.weights), so an in-place update there, such as Adam's, is
     what the next item sees. An item travels to an idle worker over its pipe;
     the worker writes the item's gradient into one slot of a shared ring of
-    2 * count, and replies with its loss. No gradient goes through a pipe.
+    2 * count, a flat array laid out like the weights' flat one, and replies
+    with its loss. No gradient goes through a pipe.
     """
 
     def __init__(self, weights: NetworkWeights, cfg: ModelConfig, count: int):
-        shapes = [shape for _, shape in network.parameter_shapes(cfg)]
-        dtype, nbytes = weights.flat.dtype, weights.flat.nbytes
-        flat, views = network.new_flat(shapes, dtype, mmap.mmap(-1, nbytes))
-        flat[...] = weights.flat
-        self.weights = network.build_weights(cfg, flat, views)
-        ring = memoryview(mmap.mmap(-1, 2 * count * nbytes))
-        self._slots = [network.new_flat(shapes, dtype, ring[k * nbytes:])[1]
-                       for k in range(2 * count)]
+        flat = weights.flat
+        self.weights = network.new_weights(cfg, flat.dtype, mmap.mmap(-1, flat.nbytes))
+        self.weights.flat[...] = flat
+        self._slots = np.frombuffer(mmap.mmap(-1, 2 * count * flat.nbytes),
+                                    flat.dtype).reshape(2 * count, flat.size)
         self._conns: list = []
         self._procs: list = []
         self._broken = ""
@@ -391,10 +392,9 @@ class ItemWorkers:
         return WorkerError(self._broken)
 
     def gradients(self, batch: list[TrainItem], weights: NetworkWeights):
-        """Yield each item's loss and gradients (views into its slot, None for
-        a parameter its loss does not reach) in item order. A slot is written
-        again only after the item it holds has been yielded and the next one
-        asked for. The first failed item in item order raises its exception,
+        """Yield each item's loss and gradient (its slot) in item order. A
+        slot is written again only after the item it holds has been yielded
+        and the next one asked for. The first failed item in item order raises its exception,
         once the busy workers are idle again."""
         if weights is not self.weights:
             raise ValueError("the workers read their own shared copy of the weights")
@@ -419,8 +419,8 @@ class ItemWorkers:
                     for conn, reply in self._replies(busy):
                         idle.append(conn)
                         done[reply[0]] = reply[1:]
-                        failed |= reply[3] is not None
-                loss, missing, error = done.pop(index)
+                        failed |= reply[2] is not None
+                loss, error = done.pop(index)
                 if error is not None:
                     while busy:
                         list(self._replies(busy))
@@ -428,8 +428,7 @@ class ItemWorkers:
                     if isinstance(exc, str):
                         raise WorkerError(f"{exc}\n\nworker traceback:\n{tb}")
                     raise exc from WorkerError(f"worker traceback:\n{tb}")
-                yield loss, [None if i in missing else view
-                             for i, view in enumerate(self._slots[index % n_slots])]
+                yield loss, self._slots[index % n_slots]
         finally:
             if busy and not self._broken:
                 self._broken = "a batch was interrupted"
@@ -437,29 +436,35 @@ class ItemWorkers:
 
 def batch_gradients(batch: list[TrainItem], weights: NetworkWeights,
                     cfg: ModelConfig, workers: ItemWorkers | None = None) -> float:
-    """Sum the gradient of batch_loss into weights.flat_grad, whose
-    per-parameter views are weights.grad_views(), and return that loss.
+    """Sum the gradient of batch_loss into weights.flat_grad, laid out like
+    weights.flat and made on the first call, and return that loss.
 
     Each item runs forward and backward on its own tape: on the workers,
     whose shared weights these must be, when given and the batch has more
-    than one item, else one after another on the calling thread. The item
-    gradients are summed in item order either way, so the result does not
-    depend on the worker count. An item's exception is raised here, and
-    items not yet started are dropped.
+    than one item, else one after another on the calling thread, the first
+    item's gradient written straight into flat_grad and each later one's
+    into one scratch array. The item gradients are summed in item order
+    either way, so the result does not depend on the worker count. An item's
+    exception is raised here, and items not yet started are dropped.
     """
     n = len(batch)
-    results = ((_item_gradients(weights, item, n, cfg) for item in batch)
-               if workers is None or n == 1 else workers.gradients(batch, weights))
-    views = weights.grad_views()
+    if weights.flat_grad is None:
+        weights.flat_grad = np.empty_like(weights.flat)
+    flat_grad = weights.flat_grad
+    if workers is None or n == 1:
+        scratch = np.empty_like(flat_grad) if n > 1 else None
+        results = (_item_gradients(weights, item, n, cfg, scratch if k else flat_grad)
+                   for k, item in enumerate(batch))
+    else:
+        results = workers.gradients(batch, weights)
     total = None
-    for loss, grads in results:
-        first = total is None
-        total = loss if first else total + loss
-        for view, g in zip(views, grads):
-            if first:
-                view[...] = 0.0 if g is None else g
-            elif g is not None:
-                view += g
+    for loss, grad in results:
+        if total is None:
+            total = loss
+            flat_grad[...] = grad   # no copy where grad is flat_grad itself
+        else:
+            total = total + loss
+            flat_grad += grad
     # the same additions and scaling as batch_loss's forward pass
     return float(total * total.dtype.type(1.0 / n))
 

@@ -84,6 +84,24 @@ def test_cli_missing_noise_dir_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and "noise root not found" in err
 
 
+def test_cli_train_rejects_a_manifest_entry_that_is_not_a_file(tmp_path, capsys):
+    clean_dir, noise_dir = write_corpus(tmp_path / "data", n_clean=2, n_noise=1)
+    manifest = tmp_path / "clean.txt"
+    manifest.write_text("clean_00.wav\nmissing.wav\n", encoding="utf-8")
+    out = tmp_path / "run"
+    code = run("--set", f"data.clean_dir={clean_dir}",
+               "--set", f"data.clean_manifest={manifest}",
+               "--set", f"data.noise_dir={noise_dir}", "--set", f"out.dir={out}",
+               "--set", "model.d_model=8", "--set", "model.n_layers=1",
+               "--set", "train.epochs=1", "--set", "train.val_items=1", "train")
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "'missing.wav'" in err[0] and str(manifest) in err[0], err
+    assert "root not found" not in err[0]
+    assert not (out / "metrics.csv").exists()
+
+
 def test_cli_train_smoke(tmp_path, capsys):
     clean_dir, noise_dir = write_corpus(tmp_path / "data", n_clean=2, n_noise=1)
     out = tmp_path / "run"
@@ -225,8 +243,8 @@ def test_cli_eval_passthrough_tracks_mixing_snr(tmp_path):
 
 
 @pytest.mark.parametrize("selection", [
-    ("--count", "0"), ("--count=-2",), ("--snrs", ","), ("--snrs", "")],
-    ids=["count-0", "count-negative", "snrs-comma", "snrs-blank"])
+    ("--count", "0"), ("--count=-2",), ("--snrs", ","), ("--snrs", ""), ("--snrs", "2.5")],
+    ids=["count-0", "count-negative", "snrs-comma", "snrs-blank", "snrs-fraction"])
 def test_cli_eval_rejects_an_empty_selection(selection, tmp_path, capsys):
     clean_dir, noise_dir = write_corpus(tmp_path / "data", n_clean=1, n_noise=1)
     out = tmp_path / "eval.csv"

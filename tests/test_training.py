@@ -74,9 +74,6 @@ def test_adam_zero_gradient_is_noop():
     p = _param([0.7])
     adam_step(p.tensor.data, np.zeros(1), AdamState(), 0.1)
     assert p.tensor.data[0] == 0.7
-    q = _param([0.7])  # batch_gradients fills a missing gradient with zeros
-    adam_step(q.tensor.data, np.zeros(1), AdamState(), 0.1)
-    assert q.tensor.data[0] == 0.7
 
 
 def test_adam_converges_on_quadratic():
@@ -89,14 +86,12 @@ def test_adam_converges_on_quadratic():
 
 def _reference_adam(params, grads, state, lr):
     """Adam one parameter at a time, as the optimizer ran before its state
-    became flat; a missing (None) gradient counts as zero."""
+    became flat."""
     state["step"] += 1
     c1 = 1.0 - ADAM_BETA1 ** state["step"]
     c2 = 1.0 - ADAM_BETA2 ** state["step"]
     for p, g in zip(params, grads):
         data = p.tensor.data
-        if g is None:
-            g = np.zeros_like(data)
         m = state["m"].setdefault(p.name, np.zeros_like(data))
         v = state["v"].setdefault(p.name, np.zeros_like(data))
         m *= ADAM_BETA1
@@ -118,14 +113,12 @@ def test_flat_adam_matches_per_parameter_reference_bitwise(dtype):
     flat = np.concatenate([p.tensor.data.ravel() for p in ref])
     ref_state = dict(m={}, v={}, step=0)
     state = AdamState()
-    missing = 2
+    zero = 2   # a parameter whose gradient is zero at every step
     for step in range(5):
-        grads = [None if i == missing else
+        grads = [np.zeros(s, dtype) if i == zero else
                  (rng.standard_normal(s) * 10.0 ** rng.integers(-6, 2)).astype(dtype)
                  for i, s in enumerate(shapes)]
-        # batch_gradients fills a missing gradient with zeros
-        flat_grad = np.concatenate([np.zeros(s, dtype).ravel() if g is None
-                                    else g.ravel() for s, g in zip(shapes, grads)])
+        flat_grad = np.concatenate([g.ravel() for g in grads])
         lr = 1e-3 * (step + 1)
         _reference_adam(ref, grads, ref_state, lr)
         adam_step(flat, flat_grad, state, lr)
@@ -397,9 +390,13 @@ def test_worker_gradients_match_single_tape(corpus):
             got = batch_gradients(batch, shared, mcfg, workers)
     assert shared.flat.dtype == np.float64
     assert abs(got - loss.item()) <= 1e-12 * abs(loss.item())
-    for p, g in zip(shared.named_parameters(), shared.grad_views()):
-        scale = np.max(np.abs(want[p.name]))
-        assert np.max(np.abs(g - want[p.name])) <= 1e-12 * scale, p.name
+    start = 0
+    for p in shared.named_parameters():
+        g = want[p.name]
+        got_p = shared.flat_grad[start:start + g.size].reshape(g.shape)
+        start += g.size
+        assert np.max(np.abs(got_p - g)) <= 1e-12 * np.max(np.abs(g)), p.name
+    assert start == shared.flat_grad.size
 
 
 def test_gradients_bitwise_equal_under_worker_contention(corpus, monkeypatch):
@@ -411,10 +408,10 @@ def test_gradients_bitwise_equal_under_worker_contention(corpus, monkeypatch):
     batch[0].meta["slow"] = True
     real = training._item_gradients
 
-    def slow_first(weights, item, n_items, cfg):
+    def slow_first(weights, item, n_items, cfg, *rest):
         if item.meta.get("slow"):
             time.sleep(0.2)
-        return real(weights, item, n_items, cfg)
+        return real(weights, item, n_items, cfg, *rest)
 
     monkeypatch.setattr(training, "_item_gradients", slow_first)
     mcfg = small_model()
@@ -463,7 +460,7 @@ def test_unpicklable_worker_exception_arrives_whole(corpus, monkeypatch):
     class LocalError(Exception):   # a local class cannot be pickled
         pass
 
-    def failing(weights, item, n_items, cfg):
+    def failing(weights, item, n_items, cfg, *rest):
         raise LocalError("cannot travel")
 
     batch = _uneven_batch(corpus, 2, 10)
@@ -486,10 +483,10 @@ def test_killed_worker_raises_naming_its_exit_code(corpus, tmp_path, monkeypatch
         batch[1].meta["kill"] = True
         return batch
 
-    def killing(weights, item, n_items, cfg):
+    def killing(weights, item, n_items, cfg, *rest):
         if item.meta.get("kill"):
             os.kill(os.getpid(), signal.SIGKILL)
-        return real_item_gradients(weights, item, n_items, cfg)
+        return real_item_gradients(weights, item, n_items, cfg, *rest)
 
     monkeypatch.setattr(network, "_usable_cores", lambda: 2)
     monkeypatch.setattr(training, "make_batch", marked)
@@ -611,21 +608,16 @@ def test_train_loop_without_fork_runs_items_on_the_calling_thread(
     assert here.final_checkpoint.read_bytes() == forked.final_checkpoint.read_bytes()
 
 
-def test_batch_gradients_are_views_into_one_flat_gradient(corpus):
+def test_batch_gradients_sum_into_one_flat_gradient(corpus):
     batch = _uneven_batch(corpus, 3, 12)
     mcfg = small_model()
     with ItemWorkers(init_params(mcfg, 7), mcfg, 2) as workers:
         weights = workers.weights
+        assert weights.flat_grad is None   # made by the first call
         batch_gradients(batch, weights, mcfg, workers)
         flat_grad = weights.flat_grad
         assert flat_grad.shape == weights.flat.shape
         assert flat_grad.dtype == weights.flat.dtype
-        start = 0
-        for p, g in zip(weights.named_parameters(), weights.grad_views()):
-            assert g.base is flat_grad and g.shape == p.tensor.data.shape, p.name
-            np.testing.assert_array_equal(g.ravel(), flat_grad[start:start + g.size])
-            start += g.size
-        assert start == flat_grad.size
         first = flat_grad.copy()
         batch_gradients(batch, weights, mcfg, workers)  # the buffer is reused
         assert weights.flat_grad is flat_grad
@@ -633,33 +625,31 @@ def test_batch_gradients_are_views_into_one_flat_gradient(corpus):
         flat_grad *= 1e3  # so that the fixed clip cuts some entries
         assert np.abs(flat_grad).max() > CLIP
         clip_gradients(flat_grad)
-        assert all(np.abs(g).max() <= CLIP for g in weights.grad_views())
+        assert np.abs(flat_grad).max() <= CLIP
 
 
-def test_batch_gradients_count_a_missing_gradient_as_zero(corpus, monkeypatch):
-    batch = _uneven_batch(corpus, 2, 13)
-    mcfg = small_model()
-    weights = init_params(mcfg, 8)
-    real = training._item_gradients
-    second_item = real(weights, batch[1], 2, mcfg)[1]
-
-    def dropped(w, item, n_items, cfg):
-        loss, grads = real(w, item, n_items, cfg)
-        grads[0] = None                  # no item has a gradient for param 0
-        if item.meta.get("first"):
-            grads[1] = None              # only the second item has one for param 1
-        return loss, grads
-
-    batch[0].meta["first"] = True
-    monkeypatch.setattr(training, "_item_gradients", dropped)
-    with ItemWorkers(weights, mcfg, 2) as workers:
-        for shared in (weights, workers.weights):   # the calling thread, then the workers
-            shared.flat_grad = None
-            views = shared.grad_views()
-            views[0][...] = np.nan   # so that a stale value would show
-            batch_gradients(batch, shared, mcfg, None if shared is weights else workers)
-            assert not views[0].any()
-            np.testing.assert_array_equal(views[1], second_item[1])
+@pytest.mark.parametrize("variant", [
+    {}, dict(bidirectional=True), dict(learnable_skip=True), dict(conv_refine=False),
+    dict(outer_conv_causal=True),
+    dict(bidirectional=True, learnable_skip=True, outer_conv_causal=True),
+    dict(bidirectional=True, learnable_skip=True, conv_refine=False)],
+    ids=["default", "bidirectional", "learnable-skip", "no-conv-refine", "causal",
+         "all", "all-no-conv-refine"])
+def test_every_trainable_parameter_gets_a_gradient(variant):
+    # item gradients are handed over whole, laid out like the flat weights,
+    # which relies on the loss reaching every trainable parameter, on an item
+    # of one frame as on one of several scan chunks
+    mcfg = ModelConfig(**variant)
+    weights = init_params(mcfg, 0)
+    rng = np.random.default_rng(6)
+    for frames in (1, 40):
+        item = training.TrainItem(rng.random((frames, 257)).astype(np.float32),
+                                  rng.random((frames, 257)).astype(np.float32), {})
+        with Tape() as tape:
+            loss = training._item_loss(item, weights, mcfg)
+        grads = backward(loss, tape)
+        missing = [p.name for p in weights.named_parameters() if p.tensor not in grads]
+        assert missing == [], frames
 
 
 def test_item_gradients_peak_is_one_tape_not_tape_and_gradients():
@@ -671,7 +661,8 @@ def test_item_gradients_peak_is_one_tape_not_tape_and_gradients():
     rng = np.random.default_rng(9)
     item = training.TrainItem(rng.random((62, 257)).astype(np.float32),
                               rng.random((62, 257)).astype(np.float32), {})
-    training._item_gradients(weights, item, 1, mcfg)  # the scan's reused blocks
+    out = np.empty_like(weights.flat)   # as a gradient slot, made beforehand
+    training._item_gradients(weights, item, 1, mcfg, out)  # the scan's reused blocks
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -682,7 +673,7 @@ def test_item_gradients_peak_is_one_tape_not_tape_and_gradients():
         del tape, loss
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        training._item_gradients(weights, item, 1, mcfg)
+        training._item_gradients(weights, item, 1, mcfg, out)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
