@@ -98,6 +98,8 @@ def read_wav(path) -> tuple[np.ndarray, float]:
         pos += 8 + size + (size & 1)
     if fmt is None or data is None:
         raise AudioError(f"{path}: missing fmt or data chunk")
+    if len(fmt) < 16:
+        raise AudioError(f"{path}: fmt chunk of {len(fmt)} bytes, shorter than 16")
     audio_format, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
     if audio_format == 0xFFFE and len(fmt) >= 26:  # WAVE_FORMAT_EXTENSIBLE
         (audio_format,) = struct.unpack_from("<H", fmt, 24)
@@ -120,7 +122,8 @@ def read_wav(path) -> tuple[np.ndarray, float]:
 def decode_wav(path, encoded: np.ndarray, scale: float) -> Waveform:
     """The float64 waveform of read_wav's samples; errors name the file."""
     try:
-        return Waveform(encoded.astype(np.float64) / scale)
+        with np.errstate(invalid="ignore"):   # a signalling NaN is rejected below
+            return Waveform(encoded.astype(np.float64) / scale)
     except AudioError as exc:
         raise AudioError(f"{path}: {exc}") from None
 

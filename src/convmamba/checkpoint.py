@@ -1,19 +1,26 @@
 """Binary checkpoint files.
 
 Layout (little-endian): magic "MDCK", u32 format version, a tagged key-value
-block holding the model configuration, then one record per parameter:
-u16 name length, name bytes, u8 rank, u32 extents, raw float32 data.
+block holding the model configuration, then a u32 record count and one record
+per parameter: u16 name length, name bytes, u8 rank, u32 extents, raw float32
+data.
+
+The loader checks the configuration against the file before it allocates:
+the record count bounds n_layers, the bytes left bound the record count, and
+every record must match the configuration and hold its data. So a malformed
+file costs no more work or memory than its size.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import fields
 
 import numpy as np
 
 from . import tensor as tz
-from .network import ModelConfig, NetworkWeights, new_weights
+from .network import ModelConfig, NetworkWeights, new_weights, parameter_shapes
 
 MAGIC = b"MDCK"
 VERSION = 1
@@ -54,7 +61,7 @@ def save_checkpoint(path, weights: NetworkWeights, cfg: ModelConfig) -> None:
 
 class _Reader:
     def __init__(self, raw: bytes, path):
-        self.raw = raw
+        self.raw = memoryview(raw)   # take() slices without copying
         self.pos = 0
         self.path = path
 
@@ -71,7 +78,7 @@ class _Reader:
     def name(self) -> str:
         """A u16-length-prefixed UTF-8 name: a config key or parameter name."""
         (n,) = self.unpack("<H")
-        raw = self.take(n)
+        raw = bytes(self.take(n))
         try:
             return raw.decode()
         except UnicodeDecodeError:
@@ -90,41 +97,52 @@ def load_checkpoint(path, dtype=None) -> tuple[NetworkWeights, ModelConfig]:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     (n_cfg,) = r.unpack("<I")
     kwargs = {}
-    valid_keys = {f.name for f in fields(ModelConfig)}
+    types = {f.name: f.type for f in fields(ModelConfig)}
     for _ in range(n_cfg):
         key = r.name()
-        (tag,) = r.unpack("<B")
-        if tag == _TAG_BOOL:
-            kwargs[key] = bool(r.unpack("<B")[0])
-        elif tag == _TAG_U32:
-            kwargs[key] = int(r.unpack("<I")[0])
-        else:
-            raise CheckpointError(f"{path}: unknown config tag {tag}")
-        if key not in valid_keys:
+        if key not in types:
             raise CheckpointError(f"{path}: unknown config key {key!r}")
+        want = _TAG_BOOL if types[key] == "bool" else _TAG_U32
+        (tag,) = r.unpack("<B")
+        if tag != want:
+            raise CheckpointError(f"{path}: config key {key!r} has tag {tag}, expected {want}")
+        kwargs[key] = bool(r.unpack("<B")[0]) if tag == _TAG_BOOL else r.unpack("<I")[0]
     try:
         cfg = ModelConfig(**kwargs)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
 
-    weights = new_weights(cfg, dtype or tz.default_dtype())
-    params = weights.named_parameters()
     (n_params,) = r.unpack("<I")
-    if n_params != len(params):
+    left = len(r.raw) - r.pos
+    # every layer stores at least one record, and a record takes at least
+    # 7 bytes, so walking the config's layers is bounded by the file's size
+    if cfg.n_layers > n_params:
+        raise CheckpointError(f"{path}: n_layers {cfg.n_layers} exceeds the"
+                              f" {n_params} parameter records stored")
+    if 7 * n_params > left:
+        raise CheckpointError(f"{path}: truncated checkpoint, {n_params} parameter"
+                              f" records cannot fit in the {left} bytes left")
+    shapes = parameter_shapes(cfg)
+    if n_params != len(shapes):
         raise CheckpointError(
-            f"{path}: {n_params} parameters stored, config implies {len(params)}")
-    for p in params:
-        view = p.tensor.data
+            f"{path}: {n_params} parameters stored, config implies {len(shapes)}")
+    records = []
+    for want_name, want_shape in shapes:
         name = r.name()
         (rank,) = r.unpack("<B")
         shape = r.unpack(f"<{rank}I")
-        if name != p.name or tuple(shape) != view.shape:
+        if name != want_name or shape != want_shape:
             raise CheckpointError(
-                f"{path}: parameter {name} with shape {tuple(shape)} does not match"
-                f" config expectation {p.name} {view.shape}")
-        view[...] = np.frombuffer(r.take(4 * view.size), dtype="<f4").reshape(shape)
-        if not np.isfinite(view).all():
-            raise CheckpointError(f"{path}: parameter {name} has non-finite values")
+                f"{path}: parameter {name} with shape {shape} does not match"
+                f" config expectation {want_name} {want_shape}")
+        records.append(r.take(4 * math.prod(shape)))
     if r.pos != len(r.raw):
         raise CheckpointError(f"{path}: {len(r.raw) - r.pos} trailing bytes")
+
+    weights = new_weights(cfg, dtype or tz.default_dtype())
+    for p, data in zip(weights.named_parameters(), records):
+        view = p.tensor.data
+        view[...] = np.frombuffer(data, dtype="<f4").reshape(view.shape)
+        if not np.isfinite(view).all():
+            raise CheckpointError(f"{path}: parameter {p.name} has non-finite values")
     return weights, cfg

@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import math
 import mmap
+import os
 import pickle
 import signal
 import threading
@@ -118,33 +119,17 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState,
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
     state.step += 1
-    b1 = ADAM_BETA1
-    b2 = ADAM_BETA2
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
-    tmp_block = np.empty(min(params.size, ADAM_BLOCK), dtype=params.dtype)
-    update_block = np.empty_like(tmp_block)
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
+    # elementwise formulas, so the bits do not depend on the blocking
     for start in range(0, params.size, ADAM_BLOCK):
         block = slice(start, start + ADAM_BLOCK)
-        p, g, m, v = params[block], grad[block], state.m[block], state.v[block]
-        tmp, update = tmp_block[:p.size], update_block[:p.size]
-        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
-        # p -= lr (m / c1) / (sqrt(v / c2) + eps), in place, each product and
-        # quotient taken in the order these expressions give
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=tmp)
-        m += tmp
-        v *= b2
-        np.multiply(g, 1.0 - b2, out=tmp)
-        tmp *= g
-        v += tmp
-        np.divide(v, c2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += ADAM_EPS
-        np.divide(m, c1, out=update)
-        update *= lr
-        update /= tmp
-        p -= update
+        m, v, g = state.m[block], state.v[block], grad[block]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        params[block] -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def clip_gradients(grad: np.ndarray) -> np.ndarray:
@@ -192,14 +177,20 @@ class WavPool:
 
 def list_pool(root, manifest=None) -> list[Path]:
     """The WAV files under root, or the ones a manifest names one per line
-    relative to root, each of which must be a file."""
+    relative to root, each of which must be a file that does not leave root
+    by its path (symlinks are not resolved)."""
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"data root not found: {root}")
     if manifest is not None:
-        lines = Path(manifest).read_text(encoding="utf-8").splitlines()
+        try:
+            lines = Path(manifest).read_text(encoding="utf-8").splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"manifest {manifest} cannot be read: {exc}") from None
         names = [line.strip() for line in lines if line.strip()]
         for name in names:
+            if os.path.isabs(name) or os.path.normpath(name).split(os.sep)[0] == "..":
+                raise ValueError(f"manifest {manifest}: entry {name!r} leaves {root}")
             if not (root / name).is_file():
                 raise ValueError(f"manifest {manifest}: entry {name!r} is not a file"
                                  f" under {root}")

@@ -82,6 +82,20 @@ def test_wav_odd_pcm16_byte_count_rejected(tmp_path):
     assert str(path) in str(err.value)
 
 
+def test_wav_fmt_chunk_shorter_than_16_bytes_rejected(tmp_path):
+    import struct
+    payload = np.zeros(64, dtype="<i2").tobytes()
+    # a 14-byte fmt chunk: everything up to the block align, no bits field
+    fmt = struct.pack("<HHIIH", 1, 1, 16000, 32000, 2)
+    path = tmp_path / "short_fmt.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(payload))
+                     + b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                     + b"data" + struct.pack("<I", len(payload)) + payload)
+    with pytest.raises(AudioError, match="fmt chunk of 14 bytes") as err:
+        load_wav(path)
+    assert str(path) in str(err.value)
+
+
 def test_non_finite_wav_rejected_naming_the_file(tmp_path):
     path = write_nan_wav(tmp_path / "nan.wav")
     with pytest.raises(AudioError, match="non-finite") as err:

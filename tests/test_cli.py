@@ -1,8 +1,14 @@
 """Command-line surface: config handling, exit codes, file outputs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import convmamba
 from convmamba import cli
 from convmamba import tensor as tz
 from convmamba.audio import Waveform, load_wav, save_wav
@@ -102,6 +108,39 @@ def test_cli_train_rejects_a_manifest_entry_that_is_not_a_file(tmp_path, capsys)
     assert not (out / "metrics.csv").exists()
 
 
+def _train_with_clean_manifest(tmp_path, manifest):
+    clean_dir, noise_dir = write_corpus(tmp_path / "data", n_clean=2, n_noise=1)
+    out = tmp_path / "run"
+    code = run("--set", f"data.clean_dir={clean_dir}",
+               "--set", f"data.clean_manifest={manifest}",
+               "--set", f"data.noise_dir={noise_dir}", "--set", f"out.dir={out}",
+               "--set", "model.d_model=8", "--set", "model.n_layers=1",
+               "--set", "train.epochs=1", "--set", "train.val_items=1", "train")
+    return code, out
+
+
+def test_cli_train_names_a_manifest_it_cannot_read(tmp_path, capsys):
+    manifest = tmp_path / "nope.txt"
+    code, out = _train_with_clean_manifest(tmp_path, manifest)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert f"manifest {manifest}" in err[0] and "root not found" not in err[0], err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_cli_train_rejects_a_manifest_entry_that_leaves_its_root(tmp_path, capsys):
+    manifest = tmp_path / "clean.txt"
+    # a noise clip beside the clean root must not train as clean speech
+    manifest.write_text("clean_00.wav\n../noise/noise_00.wav\n", encoding="utf-8")
+    code, out = _train_with_clean_manifest(tmp_path, manifest)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert str(manifest) in err[0] and "'../noise/noise_00.wav'" in err[0], err
+    assert not (out / "metrics.csv").exists()
+
+
 def test_cli_train_smoke(tmp_path, capsys):
     clean_dir, noise_dir = write_corpus(tmp_path / "data", n_clean=2, n_noise=1)
     out = tmp_path / "run"
@@ -191,6 +230,46 @@ def test_cli_non_finite_wav_names_the_file(tmp_path, capsys):
                "train") == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and str(bad_clean) in err[0]
+
+
+# runs the CLI under a 1 GiB address-space limit and prints the seconds main
+# took, so a loader that trusts a patched config field fails fast here
+_CLI_UNDER_1_GIB = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from convmamba.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("key,value", [(b"n_layers", 2_000_000_000),
+                                       (b"d_model", 0xFFFFFFFF)])
+def test_cli_enhance_rejects_a_config_its_checkpoint_cannot_hold(tmp_path, key, value):
+    """A config field patched far beyond what the file stores is rejected
+    before any weight is built: one error line naming the file, in under a
+    second."""
+    cfg = ModelConfig(d_model=8, n_layers=1, n_state=4, bins=9)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_params(cfg, 0), cfg)
+    raw = bytearray(ckpt.read_bytes())
+    at = raw.index(key) + len(key) + 1   # past the key and its tag byte
+    raw[at:at + 4] = value.to_bytes(4, "little")
+    ckpt.write_bytes(bytes(raw))
+    wav_in = tmp_path / "in.wav"
+    save_wav(wav_in, synth_speechlike(np.random.default_rng(3), seconds=0.25))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(convmamba.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", _CLI_UNDER_1_GIB, "enhance", str(ckpt),
+                           str(wav_in), str(tmp_path / "o.wav")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    err = proc.stderr.splitlines()
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert len(err) == 1 and err[0].startswith("error:") and str(ckpt) in err[0], err
+    assert float(proc.stdout) < 1.0
+    assert not (tmp_path / "o.wav").exists()
 
 
 def test_cli_stft_bins_that_do_not_match_the_model_name_both(tmp_path, capsys):

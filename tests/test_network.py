@@ -615,3 +615,15 @@ def test_checkpoint_name_that_is_not_utf8_names_file(tmp_path, name):
     with pytest.raises(CheckpointError, match="not UTF-8") as err:
         load_checkpoint(path)
     assert str(err.value).startswith(f"{path}: ")
+
+
+def test_checkpoint_config_value_of_the_wrong_type_names_file_and_key(tmp_path):
+    cfg = tiny_cfg()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(cfg, 0), cfg)
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(b"d_model") + len(b"d_model")] = 2   # the bool tag on a u32 field
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="'d_model' has tag 2, expected 1") as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")

@@ -167,6 +167,25 @@ def test_list_pool_manifest(corpus, tmp_path):
     assert [p.name for p in paths] == ["clean_01.wav"]
 
 
+def test_list_pool_manifest_entries_stay_under_the_root(corpus, tmp_path):
+    clean_dir, noise_dir = corpus
+    manifest = tmp_path / "subset.txt"
+    for entry in ("../noise/noise_00.wav", str(noise_dir / "noise_00.wav"), ".."):
+        manifest.write_text(f"clean_00.wav\n{entry}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="leaves") as err:
+            list_pool(clean_dir, manifest)
+        assert str(manifest) in str(err.value) and repr(entry) in str(err.value)
+    # a symlink out of the root stays allowed: the rule is about the entry's
+    # path, not where a link goes, so a corpus of symlinked files loads
+    (clean_dir / "linked.wav").symlink_to(noise_dir / "noise_00.wav")
+    manifest.write_text("./clean_00.wav\nlinked.wav\n", encoding="utf-8")
+    assert [p.name for p in list_pool(clean_dir, manifest)] == ["clean_00.wav", "linked.wav"]
+    manifest.write_bytes(b"clean_00.wav\n\xff\n")
+    with pytest.raises(ValueError, match="cannot be read") as err:
+        list_pool(clean_dir, manifest)
+    assert str(manifest) in str(err.value)
+
+
 def test_sample_mixture_deterministic(corpus):
     clean, noise = pools(corpus)
     cfg = TrainConfig()
