@@ -26,6 +26,8 @@ MAGIC = b"MDCK"
 VERSION = 1
 _TAG_U32 = 1
 _TAG_BOOL = 2
+# each config key's tag, from its field's type alone, on save and on load
+_TAGS = {f.name: _TAG_BOOL if f.type == "bool" else _TAG_U32 for f in fields(ModelConfig)}
 
 
 class CheckpointError(ValueError):
@@ -36,16 +38,11 @@ def save_checkpoint(path, weights: NetworkWeights, cfg: ModelConfig) -> None:
     out = bytearray()
     out += MAGIC
     out += struct.pack("<I", VERSION)
-    cfg_fields = fields(ModelConfig)
-    out += struct.pack("<I", len(cfg_fields))
-    for f in cfg_fields:
-        value = getattr(cfg, f.name)
-        key = f.name.encode()
-        out += struct.pack("<H", len(key)) + key
-        if f.type == "bool" or isinstance(value, bool):
-            out += struct.pack("<BB", _TAG_BOOL, int(value))
-        else:
-            out += struct.pack("<BI", _TAG_U32, int(value))
+    out += struct.pack("<I", len(_TAGS))
+    for key, tag in _TAGS.items():
+        name = key.encode()
+        out += struct.pack("<H", len(name)) + name
+        out += struct.pack("<BB" if tag == _TAG_BOOL else "<BI", tag, int(getattr(cfg, key)))
     params = weights.named_parameters()
     out += struct.pack("<I", len(params))
     for p in params:
@@ -97,12 +94,11 @@ def load_checkpoint(path, dtype=None) -> tuple[NetworkWeights, ModelConfig]:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     (n_cfg,) = r.unpack("<I")
     kwargs = {}
-    types = {f.name: f.type for f in fields(ModelConfig)}
     for _ in range(n_cfg):
         key = r.name()
-        if key not in types:
+        if key not in _TAGS:
             raise CheckpointError(f"{path}: unknown config key {key!r}")
-        want = _TAG_BOOL if types[key] == "bool" else _TAG_U32
+        want = _TAGS[key]
         (tag,) = r.unpack("<B")
         if tag != want:
             raise CheckpointError(f"{path}: config key {key!r} has tag {tag}, expected {want}")

@@ -1,7 +1,8 @@
 """Command-line interface: train | enhance | eval | gradcheck.
 
-All commands are deterministic under a fixed --seed, and every error path
-exits nonzero with a single "error: ..." line on stderr.
+Every command reads one run config, built from --config, --set and --seed
+before it starts. All commands are deterministic under a fixed seed, and
+every error path exits nonzero with a single "error: ..." line on stderr.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from pathlib import Path
 from . import tensor as tz
 from .audio import AudioError, load_wav, save_wav
 from .checkpoint import CheckpointError, load_checkpoint
-from .masks import MaskKind
 from .pipeline import enhance_waveform, evaluate_corpus, rows_to_csv
-from .runconfig import ConfigError, load_run_config
+from .runconfig import ConfigError, RunConfig, load_run_config
 from .training import WavPool, list_pool, train_loop
 
 GRAD_TOLERANCE = 1e-4
@@ -45,12 +45,9 @@ def _build_parser() -> _Parser:
 
     v = sub.add_parser("eval", help="mix, enhance, and report metrics")
     v.add_argument("checkpoint", nargs="?", default=None)
-    v.add_argument("--clean-dir", required=True)
-    v.add_argument("--noise-dir", required=True)
     v.add_argument("--snrs", default="0", help="comma-separated dB list")
     v.add_argument("--mode", choices=["model", "oracle", "passthrough"],
                    default="model")
-    v.add_argument("--target", choices=["irm", "psm"], default="irm")
     v.add_argument("--count", type=int, default=None,
                    help="limit the number of clean files")
     v.add_argument("--out", default=None, help="write the CSV here")
@@ -59,8 +56,8 @@ def _build_parser() -> _Parser:
     return p
 
 
-def cmd_train(args) -> int:
-    rc = load_run_config(args.config, args.overrides, args.seed)
+def corpus_pools(rc: RunConfig) -> list[WavPool]:
+    """The clean and noise pools that the data.* keys name."""
     if rc.clean_dir is None or rc.noise_dir is None:
         raise ConfigError("data.clean_dir and data.noise_dir are required")
     pools = []
@@ -70,7 +67,11 @@ def cmd_train(args) -> int:
             pools.append(WavPool(list_pool(root, manifest)))
         except FileNotFoundError as exc:
             raise ConfigError(f"{name} root not found or empty: {exc}") from exc
-    result = train_loop(rc.model, rc.train, *pools, rc.out_dir, rc.stft)
+    return pools
+
+
+def cmd_train(args, rc: RunConfig) -> int:
+    result = train_loop(rc.model, rc.train, *corpus_pools(rc), rc.out_dir, rc.stft)
     print(f"trained {result.steps} steps; final train loss "
           f"{result.final_train_loss:.6e}; best epoch {result.best_epoch} "
           f"(val {result.best_val_loss:.6e})")
@@ -79,8 +80,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_enhance(args) -> int:
-    rc = load_run_config(args.config, args.overrides, args.seed)
+def cmd_enhance(args, rc: RunConfig) -> int:
     weights, cfg = load_checkpoint(args.checkpoint)
     noisy = load_wav(args.input_wav)
     enhanced, _ = enhance_waveform(noisy, weights, cfg, rc.stft)
@@ -89,7 +89,7 @@ def cmd_enhance(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, rc: RunConfig) -> int:
     snrs = []
     for item in filter(str.strip, args.snrs.split(",")):
         try:
@@ -100,17 +100,13 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"--snrs lists no value: {args.snrs!r}")
     if args.count is not None and args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
-    rc = load_run_config(args.config, args.overrides, args.seed)
     weights = cfg = None
     if args.mode == "model":
         if args.checkpoint is None:
             raise ConfigError("eval in model mode needs a checkpoint")
         weights, cfg = load_checkpoint(args.checkpoint)
-    clean_pool = WavPool(list_pool(args.clean_dir))
-    noise_pool = WavPool(list_pool(args.noise_dir))
-    seed = args.seed if args.seed is not None else rc.train.seed
-    rows = evaluate_corpus(clean_pool, noise_pool, snrs, args.mode, weights,
-                           cfg, rc.stft, seed, MaskKind(args.target), args.count)
+    rows = evaluate_corpus(*corpus_pools(rc), snrs, args.mode, weights, cfg,
+                           rc.stft, rc.train.seed, rc.train.target, args.count)
     csv_text = rows_to_csv(rows)
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")
@@ -120,7 +116,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
+def cmd_gradcheck(args, rc: RunConfig) -> int:
     from .gradcheck import run_suite
     results = run_suite()
     failures = []
@@ -143,8 +139,9 @@ _COMMANDS = {"train": cmd_train, "enhance": cmd_enhance, "eval": cmd_eval,
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        rc = load_run_config(args.config, args.overrides, args.seed)
         tz.set_default_dtype(args.precision)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, rc)
     except (ConfigError, AudioError, CheckpointError, FileNotFoundError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,12 +9,15 @@ Example:
 The keys are the fields of ModelConfig, TrainConfig and StftConfig under
 model., train. and stft., plus model.preset, data.* and out.dir. Unknown
 keys are errors. Values on the command line (--set key=value) override the
-file.
+file. Every command of the CLI reads one RunConfig: the data.* keys name the
+corpus that train and eval read. Every error is a ConfigError that names the
+file and line, the key or, for a rule across keys, the section.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 from .audio import StftConfig
@@ -103,14 +106,19 @@ def build_run_config(pairs: dict[str, str]) -> RunConfig:
         kwargs[section][name] = value
 
     preset = kwargs["model"].pop("preset", None)
-    model = (ModelConfig(**kwargs["model"]) if preset is None
-             else ModelConfig.preset(preset, **kwargs["model"]))
-    train = TrainConfig(**kwargs["train"])
-    stft = StftConfig(**kwargs["stft"])
+    makers = {**_SECTIONS, "model": ModelConfig if preset is None
+              else partial(ModelConfig.preset, preset)}
+    built = {}
+    for section, make in makers.items():
+        try:
+            built[section] = make(**kwargs[section])
+        except ValueError as exc:   # StftConfig's AudioError too
+            raise ConfigError(f"bad {section} config: {exc}") from exc
+    model, stft = built["model"], built["stft"]
     if stft.bins != model.bins:
         raise ConfigError(
             f"stft yields {stft.bins} bins but model.bins = {model.bins}")
-    return RunConfig(model=model, train=train, stft=stft,
+    return RunConfig(**built,
                      out_dir=kwargs["out"].get("dir", "runs/default"), **kwargs["data"])
 
 
@@ -119,9 +127,11 @@ def load_run_config(config_path, overrides: list[str],
     pairs: dict[str, str] = {}
     if config_path is not None:
         path = Path(config_path)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        pairs.update(parse_config_text(path.read_text(encoding="utf-8"), str(path)))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path} cannot be read: {exc}") from None
+        pairs.update(parse_config_text(text, str(path)))
     pairs.update(parse_overrides(overrides))
     if seed is not None:
         pairs["train.seed"] = str(seed)

@@ -56,15 +56,18 @@ class TrainConfig:
     checkpoint_every: int = 1  # epochs; 0 = only best and final
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.warmup_steps < 1:
-            raise ValueError("batch_size and warmup_steps must be >= 1")
         if self.snr_lo > self.snr_hi:
-            raise ValueError("snr range must be ordered")
-        for name, least in (("epochs", 1), ("val_items", 1), ("val_every", 1),
-                            ("max_steps", 0), ("checkpoint_every", 0)):
+            raise ValueError(f"snr_lo {self.snr_lo} must be <= snr_hi {self.snr_hi}")
+        for name, least in (("batch_size", 1), ("warmup_steps", 1), ("epochs", 1),
+                            ("val_items", 1), ("val_every", 1), ("max_steps", 0),
+                            ("checkpoint_every", 0), ("seed", 0)):
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
+        for name in ("lr_base", "lr_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 # ---------------------------------------------------------------------------

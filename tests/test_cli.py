@@ -11,11 +11,14 @@ import pytest
 import convmamba
 from convmamba import cli
 from convmamba import tensor as tz
-from convmamba.audio import Waveform, load_wav, save_wav
+from convmamba.audio import StftConfig, Waveform, load_wav, save_wav
 from convmamba.checkpoint import save_checkpoint
+from convmamba.masks import MaskKind
 from convmamba.network import ModelConfig, init_params
+from convmamba.pipeline import evaluate_corpus, rows_to_csv
 from convmamba.runconfig import (ConfigError, build_run_config,
                                  parse_config_text, parse_overrides)
+from convmamba.training import WavPool, list_pool
 
 from conftest import synth_speechlike, write_corpus, write_nan_wav
 
@@ -45,7 +48,6 @@ def test_config_text_round_trip():
     assert rc.model.d_model == 64 and rc.model.n_layers == 4
     assert rc.model.conv_refine is True
     assert rc.train.epochs == 2
-    from convmamba.masks import MaskKind
     assert rc.train.target is MaskKind.PSM
 
 
@@ -158,7 +160,8 @@ def test_cli_train_smoke(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("epochs", "0"), ("val_items", "0"), ("val_every", "0"), ("max_steps", "-1"),
-    ("checkpoint_every", "-1")])
+    ("checkpoint_every", "-1"), ("lr_base", "nan"), ("lr_base", "-1"), ("lr_scale", "inf"),
+    ("seed", "-3")])
 def test_cli_train_rejects_bad_loop_values(field, value, tmp_path, capsys):
     """A training value the loop cannot run with stops the run before it
     starts, with one error line naming the field."""
@@ -281,9 +284,9 @@ def test_cli_stft_bins_that_do_not_match_the_model_name_both(tmp_path, capsys):
     clean_dir, noise_dir = write_corpus(tmp_path / "data", n_clean=1, n_noise=1)
     stft = ("--set", "stft.fft_size=256", "--set", "stft.win_length=256",
             "--set", "stft.hop=128", "--set", "model.bins=129")
+    corpus = ("--set", f"data.clean_dir={clean_dir}", "--set", f"data.noise_dir={noise_dir}")
     for command in (("enhance", str(ckpt), str(wav_in), str(tmp_path / "o.wav")),
-                    ("eval", str(ckpt), "--mode", "model", "--clean-dir", str(clean_dir),
-                     "--noise-dir", str(noise_dir))):
+                    (*corpus, "eval", str(ckpt), "--mode", "model")):
         assert run(*stft, *command) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
@@ -296,8 +299,8 @@ def test_cli_eval_oracle_gain_and_determinism(tmp_path):
                                         n_noise=1, seconds=1.0)
     out1 = tmp_path / "eval1.csv"
     out2 = tmp_path / "eval2.csv"
-    args = ("--seed", "5", "eval", "--mode", "oracle", "--clean-dir",
-            str(clean_dir), "--noise-dir", str(noise_dir), "--snrs", "0")
+    args = ("--seed", "5", "--set", f"data.clean_dir={clean_dir}",
+            "--set", f"data.noise_dir={noise_dir}", "eval", "--mode", "oracle", "--snrs", "0")
     assert run(*args, "--out", str(out1)) == 0
     assert run(*args, "--out", str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -308,12 +311,42 @@ def test_cli_eval_oracle_gain_and_determinism(tmp_path):
     assert gain >= 5.0
 
 
+def test_cli_eval_takes_its_mask_target_from_the_run_config(tmp_path):
+    clean_dir, noise_dir = write_corpus(tmp_path / "data", n_clean=2,
+                                        n_noise=1, seconds=1.0)
+    args = ("--seed", "5", "--set", f"data.clean_dir={clean_dir}",
+            "--set", f"data.noise_dir={noise_dir}")
+    irm, psm = tmp_path / "irm.csv", tmp_path / "psm.csv"
+    assert run(*args, "eval", "--mode", "oracle", "--out", str(irm)) == 0
+    assert run(*args, "--set", "train.target=psm", "eval", "--mode", "oracle",
+               "--out", str(psm)) == 0
+    rows = evaluate_corpus(WavPool(list_pool(clean_dir)), WavPool(list_pool(noise_dir)),
+                           [0], "oracle", None, None, StftConfig(), 5, MaskKind.PSM)
+    assert psm.read_text() == rows_to_csv(rows)
+    assert psm.read_bytes() != irm.read_bytes()
+
+
+def test_cli_eval_reads_the_clean_manifest(tmp_path):
+    clean_dir, noise_dir = write_corpus(tmp_path / "data", n_clean=2,
+                                        n_noise=1, seconds=1.0)
+    manifest = tmp_path / "clean.txt"
+    manifest.write_text("clean_01.wav\n", encoding="utf-8")
+    out = tmp_path / "eval.csv"
+    assert run("--set", f"data.clean_dir={clean_dir}",
+               "--set", f"data.clean_manifest={manifest}",
+               "--set", f"data.noise_dir={noise_dir}", "eval", "--mode", "passthrough",
+               "--snrs", "0,10", "--out", str(out)) == 0
+    rows = out.read_text().splitlines()[1:-1]
+    assert [row.split(",")[:3] for row in rows] == [
+        ["clean_01.wav", "noise_00.wav", "0"], ["clean_01.wav", "noise_00.wav", "10"]]
+
+
 def test_cli_eval_passthrough_tracks_mixing_snr(tmp_path):
     clean_dir, noise_dir = write_corpus(tmp_path / "data", n_clean=2,
                                         n_noise=1, seconds=1.0)
     out = tmp_path / "eval.csv"
-    assert run("--seed", "1", "eval", "--mode", "passthrough",
-               "--clean-dir", str(clean_dir), "--noise-dir", str(noise_dir),
+    assert run("--seed", "1", "--set", f"data.clean_dir={clean_dir}",
+               "--set", f"data.noise_dir={noise_dir}", "eval", "--mode", "passthrough",
                "--snrs", "0,10", "--out", str(out)) == 0
     for line in out.read_text().splitlines()[1:-1]:
         parts = line.split(",")
@@ -327,8 +360,8 @@ def test_cli_eval_passthrough_tracks_mixing_snr(tmp_path):
 def test_cli_eval_rejects_an_empty_selection(selection, tmp_path, capsys):
     clean_dir, noise_dir = write_corpus(tmp_path / "data", n_clean=1, n_noise=1)
     out = tmp_path / "eval.csv"
-    assert run("eval", "--mode", "passthrough", "--clean-dir", str(clean_dir),
-               "--noise-dir", str(noise_dir), "--out", str(out), *selection) == 2
+    assert run("--set", f"data.clean_dir={clean_dir}", "--set", f"data.noise_dir={noise_dir}",
+               "eval", "--mode", "passthrough", "--out", str(out), *selection) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert selection[0].split("=")[0] in err[0] and not out.exists()
@@ -336,8 +369,8 @@ def test_cli_eval_rejects_an_empty_selection(selection, tmp_path, capsys):
 
 def test_cli_eval_model_mode_requires_checkpoint(tmp_path, capsys):
     clean_dir, noise_dir = write_corpus(tmp_path / "data", n_clean=1, n_noise=1)
-    assert run("eval", "--clean-dir", str(clean_dir),
-               "--noise-dir", str(noise_dir)) == 2
+    assert run("--set", f"data.clean_dir={clean_dir}",
+               "--set", f"data.noise_dir={noise_dir}", "eval") == 2
     assert "checkpoint" in capsys.readouterr().err
 
 

@@ -478,17 +478,18 @@ def test_forward_time_and_memory_scale_linearly():
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
-    cfg = tiny_cfg()
-    w = init_params(cfg, 11)  # default float32: stored exactly
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, w, cfg)
-    w2, cfg2 = load_checkpoint(path)
-    assert cfg2 == cfg
-    rng = np.random.default_rng(1)
-    y = Tensor(np.abs(rng.standard_normal((6, 17))))
-    m1 = forward(y, w, cfg).data
-    m2 = forward(y, w2, cfg2).data
-    np.testing.assert_array_equal(m1, m2)
+    # a bool given for an int field is stored as the int it equals
+    for cfg in (tiny_cfg(), ModelConfig(d_model=8, n_layers=True, n_state=4, bins=9)):
+        w = init_params(cfg, 11)  # default float32: stored exactly
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, w, cfg)
+        w2, cfg2 = load_checkpoint(path)
+        assert cfg2 == cfg
+        rng = np.random.default_rng(1)
+        y = Tensor(np.abs(rng.standard_normal((6, cfg.bins))))
+        m1 = forward(y, w, cfg).data
+        m2 = forward(y, w2, cfg2).data
+        np.testing.assert_array_equal(m1, m2)
 
 
 def _assert_flat_store(w, cfg, dtype):

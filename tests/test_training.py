@@ -2,7 +2,7 @@
 
 import contextlib
 import hashlib
-import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import subprocess
@@ -464,6 +464,50 @@ def test_worker_failure_raises_and_leaves_weights(corpus):
     assert isinstance(forked.value.__cause__, WorkerError)
     assert "worker traceback" in str(forked.value.__cause__)
     assert _weights_digest(weights) == before
+
+
+def test_worker_error_waits_for_busy_workers_before_it_is_raised(corpus, monkeypatch):
+    # item 0 fails at once while item 1 keeps the other worker busy: raised
+    # before that worker replied, the error would leave its reply to be read
+    # as the next batch's
+    real = training._item_gradients
+
+    def failing_first(weights, item, n_items, cfg, *rest):
+        if item.meta.get("fail"):
+            raise ValueError("poisoned item")
+        if item.meta.get("slow"):
+            time.sleep(0.3)
+        return real(weights, item, n_items, cfg, *rest)
+
+    monkeypatch.setattr(training, "_item_gradients", failing_first)
+    batch = _uneven_batch(corpus, 3, 12)
+    batch[0].meta["fail"] = batch[1].meta["slow"] = True
+    mcfg = small_model()
+    weights = init_params(mcfg, 5)
+    clean = _uneven_batch(corpus, 3, 13)
+    want = batch_gradients(clean, weights, mcfg)
+    with _deadline(60), ItemWorkers(weights, mcfg, 2) as workers:
+        with pytest.raises(ValueError, match="poisoned item"):
+            batch_gradients(batch, workers.weights, mcfg, workers)
+        assert batch_gradients(clean, workers.weights, mcfg, workers) == want
+        np.testing.assert_array_equal(workers.weights.flat_grad, weights.flat_grad)
+
+
+def test_workers_refuse_every_batch_once_one_has_died(corpus, monkeypatch):
+    batch = _uneven_batch(corpus, 2, 10)
+    mcfg = small_model()
+    with _deadline(60), ItemWorkers(init_params(mcfg, 4), mcfg, 2) as workers:
+        idle = workers._procs[0]
+        os.kill(idle.pid, signal.SIGKILL)
+        idle.join(30)
+        with pytest.raises(WorkerError, match=r"exited with code -9 \(SIGKILL\)") as first:
+            batch_gradients(batch, workers.weights, mcfg, workers)
+        sent = []
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send",
+                            lambda conn, obj: sent.append(obj))
+        with pytest.raises(WorkerError) as again:
+            batch_gradients(batch, workers.weights, mcfg, workers)
+        assert str(again.value) == str(first.value) and sent == []
 
 
 def test_workers_refuse_weights_they_do_not_share(corpus):
